@@ -9,6 +9,9 @@
 //! * [`seq`] — the partitioned sequential algorithm of Figs. 6–8:
 //!   `Factor(k)` (panel factorization with partial pivoting and delayed
 //!   interchanges) and `Update(k, j)` (`DTRSM` + `DGEMM` block updates),
+//! * `update` (internal) — the `A_ij -= L_ik · U_kj` product every
+//!   driver's update task runs (packed, scatter-fused GEMM tiles or
+//!   stacked small-shape products, chosen per segment),
 //! * [`solve`] — the two triangular solvers `L y = P b`, `U x = y`,
 //! * [`pipeline`] — one-call driver: preprocess → symbolic → partition →
 //!   amalgamate → factor → solve,
@@ -29,6 +32,7 @@ pub mod scratch;
 pub mod seq;
 pub mod solve;
 pub mod storage;
+mod update;
 
 pub use error::SolverError;
 pub use pipeline::{FactorOptions, FactorizedLu, SolveWorkspace, SparseLuSolver};

@@ -28,6 +28,7 @@ use crate::error::{catch_solver_panic, SolverError};
 use crate::scratch::FactorScratch;
 use crate::seq::{factor_block_opts, update_block_with_panel, FactorStats, PanelRef};
 use crate::storage::BlockMatrix;
+use splu_kernels::SegmentPack;
 use splu_machine::{run_machine, Message, ProcCtx, RunOptions};
 use splu_sched::{ca_schedule, graph_schedule, TaskGraph, TaskKind};
 use splu_symbolic::BlockPattern;
@@ -83,34 +84,42 @@ fn pack_panel(ctx: &mut ProcCtx, m: &BlockMatrix, k: usize, piv: &[u32]) -> Mess
 }
 
 /// A received panel together with owned copies of its block metadata
-/// (so a `PanelRef` can be formed without borrowing the block matrix).
+/// (so a `PanelRef` can be formed without borrowing the block matrix) and
+/// the pack of its `L` segments, filled by the panel's first updates and
+/// reused by the rest.
 struct RecvPanel {
     msg: Message,
     lrows: Arc<Vec<u32>>,
     lsegs: Vec<crate::storage::LSeg>,
     w: usize,
+    pack: SegmentPack,
 }
 
 impl RecvPanel {
-    fn new(m: &BlockMatrix, k: usize, msg: Message) -> Self {
+    fn new(m: &BlockMatrix, k: usize, msg: Message, scratch: &mut FactorScratch) -> Self {
         let cb = &m.cols[k];
+        let mut pack = scratch.take_lpack();
+        pack.reset(cb.lsegs.len());
         Self {
             msg,
             lrows: cb.lrows.clone(),
             lsegs: cb.lsegs.clone(),
             w: cb.w as usize,
+            pack,
         }
     }
 
-    fn panel(&self) -> PanelRef<'_> {
+    /// The panel view, its pivot sequence and its pack.
+    fn parts(&mut self) -> (PanelRef<'_>, &[u32], &mut SegmentPack) {
         let dlen = self.w * self.w;
-        PanelRef {
+        let panel = PanelRef {
             diag: &self.msg.floats[..dlen],
             lpanel: &self.msg.floats[dlen..],
             lrows: &self.lrows,
             lsegs: &self.lsegs,
             w: self.w,
-        }
+        };
+        (panel, &self.msg.ints, &mut self.pack)
     }
 }
 
@@ -251,7 +260,7 @@ fn factor1d(
                     let msg = pack_panel(&mut ctx, &m, k, &piv);
                     ctx.multicast(panel_dests[k].iter().copied(), msg.clone());
                     if panel_dests[k].contains(&ctx.rank) {
-                        received[k] = Some(RecvPanel::new(&m, k, msg));
+                        received[k] = Some(RecvPanel::new(&m, k, msg, &mut scratch));
                     }
                     pivots.push((k, piv));
                 }
@@ -261,18 +270,19 @@ fn factor1d(
                         let t_wait = std::time::Instant::now();
                         let msg = ctx.recv(panel_tag(k));
                         stats.update_wait_secs += t_wait.elapsed().as_secs_f64();
-                        received[k] = Some(RecvPanel::new(&m, k, msg));
+                        received[k] = Some(RecvPanel::new(&m, k, msg, &mut scratch));
                     }
-                    let rp = received[k].take().unwrap();
-                    let piv = rp.msg.ints.clone();
+                    let mut rp = received[k].take().unwrap();
                     let span_start = ctx.probe().now();
                     let tb = std::time::Instant::now();
+                    let (panel, piv, pack) = rp.parts();
                     update_block_with_panel(
                         &mut m,
                         k,
                         j,
-                        &rp.panel(),
-                        &piv,
+                        &panel,
+                        pack,
+                        piv,
                         &mut stats,
                         &mut scratch,
                     );
@@ -280,7 +290,9 @@ fn factor1d(
                     ctx.probe().span_at("update", k as u32, span_start);
                     uses[k] -= 1;
                     if uses[k] == 0 {
-                        // last local use: hand the payload back to the pool
+                        // last local use: hand the payload back to the
+                        // runtime's pool and the pack back to the arena's
+                        scratch.lpacks.push(rp.pack);
                         ctx.recycle(rp.msg);
                     } else {
                         received[k] = Some(rp);

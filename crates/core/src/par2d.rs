@@ -30,10 +30,11 @@
 //! still pipelines between consecutive barriers.
 
 use crate::error::{catch_solver_panic, SolverError};
-use crate::scratch::{prep_cap_f64, prep_zeroed_f64, FactorScratch};
+use crate::scratch::{prep_cap, prep_zeroed_f64, FactorScratch};
 use crate::seq::FactorStats;
 use crate::storage::BlockMatrix;
-use splu_kernels::{dgemm_naive, dgemm_with, dtrsm_left_lower_unit, gemm_uses_blocked_path};
+use crate::update::{self, LSource, UpdateDest, UpdateTask};
+use splu_kernels::dtrsm_left_lower_unit;
 use splu_machine::{run_machine, Grid, Message, ProcCtx, RunOptions};
 use splu_sched::{
     lookahead_schedule, plan_taskdag, taskdag_schedule, Op2d, TaskDagPlan, TaskGraph,
@@ -1168,9 +1169,9 @@ fn factor2d(
             );
             let m = ctx.recv(tag(K_PIVROW, k, t, 0));
             let piv = m.ints[0] as usize;
-            prep_cap_f64(&mut scratch.rowbuf2, w, &mut scratch.grow_events);
+            prep_cap(&mut scratch.rowbuf2, w, &mut scratch.grow_events);
             scratch.rowbuf2.extend_from_slice(&m.floats[..w]);
-            prep_cap_f64(&mut scratch.rowbuf, w, &mut scratch.grow_events);
+            prep_cap(&mut scratch.rowbuf, w, &mut scratch.grow_events);
             scratch.rowbuf.extend_from_slice(&m.floats[w..2 * w]);
             ctx.recycle(m);
             piv
@@ -1554,11 +1555,33 @@ fn trsm_columns(
     ctx.probe().span_at("scale-swap", k as u32, span_start);
 }
 
+/// The owned blocks of one column block as update destinations.
+struct Dest2d<'a> {
+    blocks: &'a mut HashMap<(u32, u32), Vec<f64>>,
+    pattern: &'a BlockPattern,
+}
+
+impl UpdateDest for Dest2d<'_> {
+    fn block(&mut self, i: usize, j: usize) -> Option<(&mut [f64], usize)> {
+        use std::cmp::Ordering::*;
+        let ld = match i.cmp(&j) {
+            Equal => self.pattern.part.width(j),
+            Greater => self.pattern.l_block(i, j)?.rows.len(),
+            Less => self
+                .pattern
+                .u_block(i, j)
+                .map(|_| self.pattern.part.width(i))?,
+        };
+        let b = self.blocks.get_mut(&(i as u32, j as u32));
+        Some((b.expect("destination block is owned"), ld))
+    }
+}
+
 /// `Update2D(k, j)` (Fig. 15): update owned blocks `A_ij` using `L_ik`
-/// (row multicast) and `U_kj` (column multicast). All of this processor's
-/// destination segments are packed into one stacked `L` panel so the
-/// per-block GEMM loop collapses into one tall call per kernel-dispatch
-/// run, followed by a scatter driven by the pattern's precomputed maps.
+/// (row multicast) and `U_kj` (column multicast) through the shared
+/// update routine (`crate::update`): the segments are read in place
+/// from owned blocks or multicast payloads, and each product lands in its
+/// destination through the pattern's precomputed maps.
 ///
 /// `deferred` marks updates the lookahead executor pushed behind a later
 /// panel factorization (depth > 1). Operand acquisition is try-first:
@@ -1605,13 +1628,8 @@ fn update2d(
     // are made; `li` is the segment's position in `l_blocks[k]`, the
     // scatter-map key.
     let pattern = st.pattern.clone();
-    let my_segs = || {
-        pattern.l_blocks[k]
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| sub_j || (l.i as usize) % grid.pr == rno)
-    };
-    if my_segs().next().is_none() {
+    let mine = |li: usize| sub_j || pattern.l_blocks[k][li].i as usize % grid.pr == rno;
+    if !(0..pattern.l_blocks[k].len()).any(mine) {
         let start = clock.fetch_add(1, Ordering::Relaxed);
         let end = clock.fetch_add(1, Ordering::Relaxed);
         intervals.push(UpdateInterval {
@@ -1664,187 +1682,55 @@ fn update2d(
 
     // U_kj: local if I own it, else a slice of the batched column
     // multicast from (k mod pr, cno) — read in place, no per-task copy.
-    let wk = st.width(k);
     let uj = pattern.u_blocks[k]
         .binary_search_by_key(&(j as u32), |u| u.j)
         .expect("U block in pattern");
-    let u_cols = &pattern.u_blocks[k][uj].cols;
-    let nuc = u_cols.len();
     stats.scatter_map_reuse_hits += 1;
-    let u_batch; // keeps the batch payload alive through the GEMM loop
+    let u_batch; // keeps the batch payload alive through the gather
     let usrc: &[f64] = if st.owns_block(k, j) {
         &st.blocks[&(k as u32, j as u32)]
     } else {
-        // zero-copy: GEMM reads straight out of the batch multicast
         let (bid, off, len) = caches.urow_layout[&(k, j)];
         u_batch = caches.urow_batches[&(k, bid)].clone();
         &u_batch[off..off + len]
     };
 
-    let lo_j = st.lo(j);
-    let wj = st.width(j);
-    let seg_len = |li: u32| pattern.l_blocks[k][li as usize].rows.len();
-
-    // owned segment ids staged in the arena's index buffer for the
-    // indexed run-coalescing passes below
-    let mut segids = std::mem::take(&mut scratch.idx);
-    {
-        let cap0 = segids.capacity();
-        segids.clear();
-        segids.extend(my_segs().map(|(li, _)| li as u32));
-        if segids.capacity() > cap0 {
-            scratch.grow_events += 1;
-        }
-    }
-    let mtot: usize = segids.iter().map(|&li| seg_len(li)).sum();
-
-    // ---- pack the owned L segments into one stacked panel (ld = mtot) ----
-    // The seed copied every segment into the arena once per GEMM anyway;
-    // interleaving the copies into one tall panel costs the same traffic.
-    let t_gemm = std::time::Instant::now();
-    prep_zeroed_f64(&mut scratch.panel2, mtot * wk, &mut scratch.grow_events);
-    {
-        let mut off = 0usize;
-        for &li in &segids {
-            let i = pattern.l_blocks[k][li as usize].i as usize;
-            let mrows = seg_len(li);
-            let src: &[f64] = if st.owns_col_panel(k) {
-                &st.blocks[&(i as u32, k as u32)]
+    let task = UpdateTask {
+        pattern: &pattern,
+        k,
+        j,
+        uj,
+        mine: &mine,
+    };
+    // L_ik: an owned block of the panel column, or a slice of the stage-row
+    // multicast — read in place (the pack holds this update's copies)
+    let mut lpack = std::mem::take(&mut scratch.lpack);
+    lpack.reset(pattern.l_blocks[k].len());
+    let started = {
+        let (blocks, lpanels) = (&st.blocks, &caches.lpanels);
+        let local = st.owns_col_panel(k);
+        let seg = |li: usize| -> (&[f64], usize) {
+            let l = &pattern.l_blocks[k][li];
+            let block: &[f64] = if local {
+                &blocks[&(l.i, k as u32)]
             } else {
-                let (fl, off, len) = &caches.lpanels[&(k, i)];
+                let (fl, off, len) = &lpanels[&(k, l.i as usize)];
                 &fl[*off..*off + *len]
             };
-            for c in 0..wk {
-                scratch.panel2[off + c * mtot..off + c * mtot + mrows]
-                    .copy_from_slice(&src[c * mrows..(c + 1) * mrows]);
-            }
-            off += mrows;
-        }
-        debug_assert_eq!(off, mtot);
-    }
-
-    // ---- stacked GEMM: temp = L_stack (mtot × wk) · U_kj (wk × nuc) ----
-    // One call per maximal run of segments agreeing on the kernel's shape
-    // dispatch keeps the arithmetic bitwise identical to the seed's
-    // per-segment calls (see `gemm_uses_blocked_path`).
-    prep_zeroed_f64(&mut scratch.temp, mtot * nuc, &mut scratch.grow_events);
-    let mut s0 = 0usize;
-    let mut row0 = 0usize;
-    while s0 < segids.len() {
-        let blocked = gemm_uses_blocked_path(seg_len(segids[s0]), nuc, wk);
-        let mut s1 = s0 + 1;
-        let mut mrun = seg_len(segids[s0]);
-        while s1 < segids.len() && gemm_uses_blocked_path(seg_len(segids[s1]), nuc, wk) == blocked {
-            mrun += seg_len(segids[s1]);
-            s1 += 1;
-        }
-        let a = &scratch.panel2[row0..];
-        let c = &mut scratch.temp[row0..];
-        if blocked {
-            dgemm_with(
-                mrun,
-                nuc,
-                wk,
-                1.0,
-                a,
-                mtot,
-                usrc,
-                wk,
-                0.0,
-                c,
-                mtot,
-                &mut scratch.gemm,
-            );
-        } else {
-            dgemm_naive(mrun, nuc, wk, 1.0, a, mtot, usrc, wk, 0.0, c, mtot);
-        }
-        stats.update_gemm_calls += 1;
-        stats.update_gemm_rows_max = stats.update_gemm_rows_max.max(mrun as u64);
-        row0 += mrun;
-        s0 = s1;
-    }
-    stats.gemm_flops += (2 * mtot * nuc * wk) as u64;
-    stats.update_gemm_secs += t_gemm.elapsed().as_secs_f64();
-
-    // ---- map-driven scatter-subtract, one destination per segment ----
-    let t_scatter = std::time::Instant::now();
-    let temp = &scratch.temp;
-    let mut off = 0usize;
-    for &li in &segids {
-        let l = &pattern.l_blocks[k][li as usize];
-        let i = l.i as usize;
-        let rows = &l.rows;
-        let mrows = rows.len();
-        let tcol_at = |cp: usize| off + cp * mtot;
-
-        use std::cmp::Ordering::*;
-        match i.cmp(&j) {
-            Equal => {
-                let dest = st.blocks.get_mut(&(i as u32, j as u32)).unwrap();
-                for (cp, &gc) in u_cols.iter().enumerate() {
-                    let dc = gc as usize - lo_j;
-                    for (rp, &g) in rows.iter().enumerate() {
-                        dest[(g as usize - lo_j) + dc * wj] -= temp[tcol_at(cp) + rp];
-                    }
-                }
-            }
-            Greater => {
-                // a padded source row may be absent from the destination
-                // mask; its contribution is exactly zero and is skipped.
-                // The precomputed map holds the destination positions the
-                // seed recomputed by merging on every task.
-                let map = pattern.scatter_map(k, li as usize, uj);
-                let Some(lb) = pattern.l_block(i, j) else {
-                    debug_assert!(map.iter().all(|&p| p == u32::MAX));
-                    debug_assert!((0..nuc).all(|cp| temp[tcol_at(cp)..tcol_at(cp) + mrows]
-                        .iter()
-                        .all(|&v| v == 0.0)));
-                    off += mrows;
-                    continue;
-                };
-                let ldd = lb.rows.len();
-                let dest = st.blocks.get_mut(&(i as u32, j as u32)).unwrap();
-                for (cp, &gc) in u_cols.iter().enumerate() {
-                    let dc = gc as usize - lo_j;
-                    for (rp, &dr) in map.iter().enumerate() {
-                        if dr != u32::MAX {
-                            dest[dr as usize + dc * ldd] -= temp[tcol_at(cp) + rp];
-                        } else {
-                            debug_assert_eq!(temp[tcol_at(cp) + rp], 0.0);
-                        }
-                    }
-                }
-            }
-            Less => {
-                let map = pattern.scatter_map(k, li as usize, uj);
-                let Some(_ub) = pattern.u_block(i, j) else {
-                    debug_assert!(map.iter().all(|&p| p == u32::MAX));
-                    debug_assert!((0..nuc).all(|cp| temp[tcol_at(cp)..tcol_at(cp) + mrows]
-                        .iter()
-                        .all(|&v| v == 0.0)));
-                    off += mrows;
-                    continue;
-                };
-                let h = st.width(i);
-                let lo_i = st.lo(i);
-                let dest = st.blocks.get_mut(&(i as u32, j as u32)).unwrap();
-                for (cp, &dc) in map.iter().enumerate() {
-                    if dc == u32::MAX {
-                        debug_assert!(temp[tcol_at(cp)..tcol_at(cp) + mrows]
-                            .iter()
-                            .all(|&v| v == 0.0));
-                        continue;
-                    }
-                    for (rp, &g) in rows.iter().enumerate() {
-                        dest[(g as usize - lo_i) + dc as usize * h] -= temp[tcol_at(cp) + rp];
-                    }
-                }
-            }
-        }
-        off += mrows;
-    }
-    stats.update_scatter_secs += t_scatter.elapsed().as_secs_f64();
-    scratch.idx = segids;
+            (block, l.rows.len())
+        };
+        let src = LSource {
+            seg: &seg,
+            stacked: false,
+        };
+        update::gather(&task, &src, usrc, &mut lpack, stats, scratch)
+    };
+    let mut dest = Dest2d {
+        blocks: &mut st.blocks,
+        pattern: &pattern,
+    };
+    update::apply(&task, started, &lpack, &mut dest, stats, scratch);
+    scratch.lpack = lpack;
     ctx.probe().span_at("update", k as u32, span_start);
     let end = clock.fetch_add(1, Ordering::Relaxed);
     intervals.push(UpdateInterval {

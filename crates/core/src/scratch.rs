@@ -2,11 +2,12 @@
 //!
 //! Every driver (sequential, 1D, 2D, pipelined) owns one [`FactorScratch`]
 //! per processor and threads it through `Factor(k)` / `Update(k, j)` /
-//! `ScaleSwap`. All temporaries of the elimination loop — the stacked
-//! GEMM product buffer, the rank-1 update vectors, the 2D code's row and
-//! panel copies, and the blocked GEMM's pack buffers — live here and only
-//! ever *grow* to the high-water mark of the shapes seen, so steady-state
-//! factorization performs zero heap allocations per panel. (Scatter
+//! `ScaleSwap`. All temporaries of the elimination loop — the small-shape
+//! product buffer, the update kernel's packed `U_kj` and `L` segments,
+//! the rank-1 update vectors and the 2D code's row copies — live here and
+//! only ever *grow* to the high-water mark of the shapes seen, so
+//! steady-state factorization performs zero heap allocations per panel.
+//! (Scatter
 //! position maps are not scratch at all anymore: they are precomputed
 //! once in `splu_symbolic::BlockPattern` and read in place.)
 //!
@@ -16,7 +17,7 @@
 //! a warmed-up refactorization must report a delta of zero (asserted by
 //! the `scratch_reuse` tests).
 
-use splu_kernels::GemmScratch;
+use splu_kernels::SegmentPack;
 
 /// Reusable buffers for the factorization loop (one per processor).
 ///
@@ -24,9 +25,15 @@ use splu_kernels::GemmScratch;
 /// simultaneously; growth accounting goes through the `prep_*` helpers.
 #[derive(Default)]
 pub struct FactorScratch {
-    /// GEMM product buffer (`update`: the stacked `L · U_kj` panel before
-    /// the map-driven scatter).
+    /// Product buffer of the update's small-shape segments.
     pub(crate) temp: Vec<f64>,
+    /// `U_kj` packed for the blocked update kernel.
+    pub(crate) bpack: Vec<f64>,
+    /// `L` segments packed for the blocked update kernel (the sequential
+    /// code's current stage; the 2D code's current update).
+    pub(crate) lpack: SegmentPack,
+    /// Idle packs of the 1D code's cached panels (one per panel).
+    pub(crate) lpacks: Vec<SegmentPack>,
     /// Rank-1 update row of `Factor(k)` (`U` row right of the pivot).
     pub(crate) urow: Vec<f64>,
     /// Rank-1 update column of `Factor(k)` (scaled `L` column).
@@ -35,10 +42,6 @@ pub struct FactorScratch {
     pub(crate) rowbuf: Vec<f64>,
     /// Second full-width row buffer (row interchanges swap two rows).
     pub(crate) rowbuf2: Vec<f64>,
-    /// Panel-sized copy buffer (2D: `L_kk`, received `U`/`L` panels).
-    pub(crate) panel: Vec<f64>,
-    /// Second panel-sized copy buffer.
-    pub(crate) panel2: Vec<f64>,
     /// Generic index list (update targets, owned block ids, …).
     pub(crate) idx: Vec<u32>,
     /// Per-in-flight-stage `L_kk` staging slots of the 2D lookahead
@@ -53,8 +56,6 @@ pub struct FactorScratch {
     /// Placeholder column block for the `update_block` borrow dance
     /// (swapping it in and out of the matrix allocates nothing).
     pub(crate) dummy: crate::storage::ColBlock,
-    /// Pack buffers of the blocked GEMM kernel.
-    pub(crate) gemm: GemmScratch,
     pub(crate) grow_events: u64,
 }
 
@@ -65,29 +66,35 @@ impl FactorScratch {
     }
 
     /// Number of buffer-capacity growth events since construction
-    /// (including the blocked-GEMM pack buffers). Zero delta across a
+    /// (including the update kernel's pack buffers). Zero delta across a
     /// factorization ⇒ the run allocated nothing in the hot loop.
     pub fn grow_events(&self) -> u64 {
-        self.grow_events + self.gemm.grow_events()
+        let packs: u64 = self.lpacks.iter().map(SegmentPack::grow_events).sum();
+        self.grow_events + self.lpack.grow_events() + packs
     }
 
     /// High-water footprint of the arena in bytes. Capacities never
     /// shrink, so the current capacities *are* the peak.
     pub fn peak_bytes(&self) -> u64 {
         let f64s = self.temp.capacity()
+            + self.bpack.capacity()
             + self.urow.capacity()
             + self.lcol.capacity()
             + self.rowbuf.capacity()
             + self.rowbuf2.capacity()
-            + self.panel.capacity()
-            + self.panel2.capacity()
             + self
                 .stage_panels
                 .iter()
                 .map(|p| p.capacity())
                 .sum::<usize>();
         let u32s = self.idx.capacity();
-        (f64s * 8 + u32s * 4 + self.gemm.peak_bytes()) as u64
+        let packs: usize = self.lpacks.iter().map(SegmentPack::peak_bytes).sum();
+        (f64s * 8 + u32s * 4 + self.lpack.peak_bytes() + packs) as u64
+    }
+
+    /// A pack for a newly cached panel: a returned one when available.
+    pub(crate) fn take_lpack(&mut self) -> SegmentPack {
+        self.lpacks.pop().unwrap_or_default()
     }
 
     /// Ensure `n` stage-panel slots exist and mark them all empty (stage
@@ -117,7 +124,7 @@ impl FactorScratch {
         if self.stage_ids[slot] != k as u64 {
             self.stage_ids[slot] = k as u64;
             let buf = &mut self.stage_panels[slot];
-            prep_cap_f64(buf, len, &mut self.grow_events);
+            prep_cap(buf, len, &mut self.grow_events);
             fill(buf);
             debug_assert_eq!(buf.len(), len);
         }
@@ -127,7 +134,7 @@ impl FactorScratch {
 
 /// Clear `v` and reserve room for `len` elements, counting a grow event
 /// into `grow_events` when the capacity actually increases.
-pub(crate) fn prep_cap_f64(v: &mut Vec<f64>, len: usize, grow_events: &mut u64) {
+pub(crate) fn prep_cap<T>(v: &mut Vec<T>, len: usize, grow_events: &mut u64) {
     v.clear();
     if v.capacity() < len {
         *grow_events += 1;
@@ -135,9 +142,25 @@ pub(crate) fn prep_cap_f64(v: &mut Vec<f64>, len: usize, grow_events: &mut u64) 
     }
 }
 
-/// [`prep_cap_f64`] followed by zero-fill to exactly `len`.
+/// `&mut v[..len]`, growing `v` (and counting a grow event) only when it
+/// is shorter; the reused prefix is not re-zeroed.
+pub(crate) fn ensure_len_f64<'a>(
+    v: &'a mut Vec<f64>,
+    len: usize,
+    grow_events: &mut u64,
+) -> &'a mut [f64] {
+    if v.len() < len {
+        if v.capacity() < len {
+            *grow_events += 1;
+        }
+        v.resize(len, 0.0);
+    }
+    &mut v[..len]
+}
+
+/// [`prep_cap`] followed by zero-fill to exactly `len`.
 pub(crate) fn prep_zeroed_f64(v: &mut Vec<f64>, len: usize, grow_events: &mut u64) {
-    prep_cap_f64(v, len, grow_events);
+    prep_cap(v, len, grow_events);
     v.resize(len, 0.0);
 }
 

@@ -15,9 +15,10 @@
 //! codes.
 
 use crate::error::SolverError;
-use crate::scratch::{prep_cap_f64, prep_zeroed_f64, FactorScratch};
+use crate::scratch::{prep_cap, FactorScratch};
 use crate::storage::BlockMatrix;
-use splu_kernels::{dgemm_naive, dgemm_with, dger, dtrsm_left_lower_unit, gemm_uses_blocked_path};
+use crate::update::{self, LSource, UpdateTask};
+use splu_kernels::{dger, dtrsm_left_lower_unit, SegmentPack};
 use splu_probe::Probe;
 
 /// Statistics of a numeric factorization run.
@@ -38,10 +39,12 @@ pub struct FactorStats {
     /// Scratch-arena capacity growth events (summed over processors);
     /// zero on a warmed-up refactorization — the allocation-free proof.
     pub scratch_grow_events: u64,
-    /// Update-stage GEMM kernel invocations (stacked path runs, not
-    /// per-destination-segment calls).
+    /// Update-stage GEMM kernel invocations: one fused packed call per
+    /// blocked-shape segment product plus one stacked `dgemm_naive` call
+    /// per run of adjacent small-shape segments.
     pub update_gemm_calls: u64,
-    /// Rows of the tallest single update-stage GEMM call (max over
+    /// Rows of the tallest single update-stage kernel call — a segment on
+    /// the blocked path, a stacked run on the small path (max over
     /// processors in parallel runs).
     pub update_gemm_rows_max: u64,
     /// Update tasks whose scatter positions came from the precomputed
@@ -51,9 +54,13 @@ pub struct FactorStats {
     /// owning no destination segment) — a warmed refactorization performs
     /// zero symbolic merges.
     pub scatter_map_reuse_hits: u64,
-    /// Wall seconds inside update-stage GEMM calls.
+    /// Wall seconds inside the update-stage products: packing, the
+    /// small-shape GEMMs, and the blocked-shape fused GEMM tiles together
+    /// with their write-back into the destination blocks.
     pub update_gemm_secs: f64,
-    /// Wall seconds inside update-stage scatter-subtract loops.
+    /// Wall seconds writing the small-shape products back into their
+    /// destinations (the blocked shapes' write-back is fused into their
+    /// GEMM and counts in [`FactorStats::update_gemm_secs`]).
     pub update_scatter_secs: f64,
     /// Wall seconds blocked receiving update operands (parallel drivers;
     /// zero for the sequential code).
@@ -164,6 +171,7 @@ pub fn factor_sequential_with(
         }
         probe.span_at("panel-factor", k as u32, span_start);
         pivots.push(piv);
+        scratch.lpack.reset(m.cols[k].lsegs.len());
         // target list lives in the arena; taken out for the borrow, put back
         let mut targets = std::mem::take(&mut scratch.idx);
         let cap0 = targets.capacity();
@@ -265,8 +273,8 @@ pub(crate) fn factor_block_opts(
             let ncols = w - t - 1;
             // diag part: rows t+1..w, cols t+1..w; the pivot row/column
             // strips are staged in the arena (no per-step allocation)
-            prep_cap_f64(&mut scratch.urow, ncols, &mut scratch.grow_events);
-            prep_cap_f64(&mut scratch.lcol, ncols, &mut scratch.grow_events);
+            prep_cap(&mut scratch.urow, ncols, &mut scratch.grow_events);
+            prep_cap(&mut scratch.lcol, ncols, &mut scratch.grow_events);
             scratch.urow.extend((t + 1..w).map(|c| cb.diag[t + c * w]));
             scratch.lcol.extend((t + 1..w).map(|r| cb.diag[r + t * w]));
             let (urow, lcol) = (&scratch.urow[..], &scratch.lcol[..]);
@@ -316,8 +324,9 @@ pub struct PanelRef<'a> {
     pub w: usize,
 }
 
-/// `Update(k, j)` using the locally stored panel of block `k`.
-pub fn update_block(
+/// `Update(k, j)` using the locally stored panel of block `k` and the
+/// stage's pack held in the arena.
+fn update_block(
     m: &mut BlockMatrix,
     k: usize,
     j: usize,
@@ -337,19 +346,25 @@ pub fn update_block(
         lsegs: &ck.lsegs,
         w: ck.w as usize,
     };
-    update_block_with_panel(m, k, j, &panel, piv_seq, stats, scratch);
+    let mut lpack = std::mem::take(&mut scratch.lpack);
+    update_block_with_panel(m, k, j, &panel, &mut lpack, piv_seq, stats, scratch);
+    scratch.lpack = lpack;
     scratch.dummy = std::mem::replace(&mut m.cols[k], ck);
 }
 
 /// `Update(k, j)` (Fig. 8): apply the delayed interchanges of block `k` to
 /// column block `j`, triangular-solve `U_kj := L_kk⁻¹ U_kj`, then
 /// `A_ij -= L_ik · U_kj` for every nonzero `L_ik`. The factored panel of
-/// block `k` is supplied explicitly (local or received).
-pub fn update_block_with_panel(
+/// block `k` is supplied explicitly (local or received), with its pack
+/// `lpack` (reset when the panel was factored or received, so each segment
+/// is packed once per stage).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn update_block_with_panel(
     m: &mut BlockMatrix,
     k: usize,
     j: usize,
     panel: &PanelRef<'_>,
+    lpack: &mut SegmentPack,
     piv_seq: &[u32],
     stats: &mut FactorStats,
     scratch: &mut FactorScratch,
@@ -386,24 +401,12 @@ pub fn update_block_with_panel(
         stats.other_flops += (wk * wk * ncols) as u64;
     }
 
-    // ---- 3. A_ij -= L_ik · U_kj, stacked over all L segments ----
-    // The source U panel is staged in the arena once: destinations can be
-    // other U blocks of the same column block, and the borrow checker
-    // cannot see they never alias U_kj itself.
-    let (u_cols, wk_h) = {
-        let ub = &m.cols[j].ublocks[ub_idx];
-        prep_cap_f64(&mut scratch.panel, ub.panel.len(), &mut scratch.grow_events);
-        scratch.panel.extend_from_slice(&ub.panel);
-        (ub.cols.clone(), ub.h as usize)
-    };
-    let nuc = u_cols.len();
+    // ---- 3. A_ij -= L_ik · U_kj, one product per L segment ----
+    let nuc = m.cols[j].ublocks[ub_idx].cols.len();
     let nl = panel.lrows.len();
     if nuc == 0 || nl == 0 {
         return;
     }
-
-    let lo_j = m.pattern.part.start(j);
-    let wj = m.pattern.part.width(j);
     // The pattern (shared Arc) supplies the precomputed scatter maps; a
     // local handle frees `m` for the destination borrows below.
     let pattern = m.pattern.clone();
@@ -411,164 +414,25 @@ pub fn update_block_with_panel(
         .binary_search_by_key(&(j as u32), |u| u.j)
         .expect("U block in pattern");
     stats.scatter_map_reuse_hits += 1;
-
-    // One tall product: temp = L_panel (nl × wk) · U_kj (wk × nuc), ld =
-    // nl. The whole packed panel is already contiguous, so no repacking
-    // is needed — only the kernel calls are batched. For bitwise identity
-    // with the per-segment seed path, each maximal run of segments that
-    // agree on the kernel's shape dispatch becomes one call: results are
-    // row-count-independent *within* a path (see `gemm_uses_blocked_path`)
-    // but differ across the blocked/axpy boundary.
-    prep_zeroed_f64(&mut scratch.temp, nl * nuc, &mut scratch.grow_events);
-    let t_gemm = std::time::Instant::now();
-    let nseg = panel.lsegs.len();
-    let mut s0 = 0usize;
-    while s0 < nseg {
-        let blocked = gemm_uses_blocked_path(panel.lsegs[s0].len as usize, nuc, wk_h);
-        let mut s1 = s0 + 1;
-        while s1 < nseg
-            && gemm_uses_blocked_path(panel.lsegs[s1].len as usize, nuc, wk_h) == blocked
-        {
-            s1 += 1;
-        }
-        let row0 = panel.lsegs[s0].start as usize;
-        let last = &panel.lsegs[s1 - 1];
-        let mrun = (last.start + last.len) as usize - row0;
-        let a = &panel.lpanel[row0..];
-        let c = &mut scratch.temp[row0..];
-        if blocked {
-            dgemm_with(
-                mrun,
-                nuc,
-                wk_h,
-                1.0,
-                a,
-                nl,
-                &scratch.panel,
-                wk_h,
-                0.0,
-                c,
-                nl,
-                &mut scratch.gemm,
-            );
-        } else {
-            dgemm_naive(
-                mrun,
-                nuc,
-                wk_h,
-                1.0,
-                a,
-                nl,
-                &scratch.panel,
-                wk_h,
-                0.0,
-                c,
-                nl,
-            );
-        }
-        stats.update_gemm_calls += 1;
-        stats.update_gemm_rows_max = stats.update_gemm_rows_max.max(mrun as u64);
-        s0 = s1;
-    }
-    stats.gemm_flops += (2 * nl * nuc * wk_h) as u64;
-    stats.update_gemm_secs += t_gemm.elapsed().as_secs_f64();
-
-    // ---- map-driven scatter-subtract, one destination per segment ----
-    let t_scatter = std::time::Instant::now();
-    for (li, seg) in panel.lsegs.iter().enumerate() {
-        let i = seg.iblock as usize;
-        let rows = &panel.lrows[seg.start as usize..(seg.start + seg.len) as usize];
-        let mrows = rows.len();
-        let off = seg.start as usize;
-        let tcol_at = |cpos: usize| off + cpos * nl;
-
-        use std::cmp::Ordering::*;
-        match i.cmp(&j) {
-            Equal => {
-                // destination: diagonal panel of j; dest row = g - lo_j,
-                // dest col = global col - lo_j (contiguous, no map)
-                let cj = &mut m.cols[j];
-                for (cpos, &gc) in u_cols.iter().enumerate() {
-                    let dc = gc as usize - lo_j;
-                    let tcol = &scratch.temp[tcol_at(cpos)..tcol_at(cpos) + mrows];
-                    for (rpos, &g) in rows.iter().enumerate() {
-                        let dr = g as usize - lo_j;
-                        cj.diag[dr + dc * wj] -= tcol[rpos];
-                    }
-                }
-            }
-            Greater => {
-                // destination: packed L panel of column j. With
-                // amalgamation, a padded source row may have no slot in
-                // the destination mask — its contribution is provably
-                // exactly zero (padding never turns nonzero), so it is
-                // skipped (and checked in debug builds). The precomputed
-                // map holds block-local positions; the destination
-                // segment's start offset lifts them into the packed panel.
-                let map = pattern.scatter_map(k, li, uj);
-                let cj = &mut m.cols[j];
-                let ldd = cj.lrows.len();
-                let Ok(ds) = cj.lsegs.binary_search_by_key(&(i as u32), |s| s.iblock) else {
-                    debug_assert!(map.iter().all(|&p| p == u32::MAX));
-                    debug_assert!(
-                        (0..nuc).all(|c| scratch.temp[tcol_at(c)..tcol_at(c) + mrows]
-                            .iter()
-                            .all(|&v| v == 0.0))
-                    );
-                    continue;
-                };
-                let dstart = cj.lsegs[ds].start as usize;
-                for (cpos, &gc) in u_cols.iter().enumerate() {
-                    let dc = gc as usize - lo_j;
-                    let tcol = &scratch.temp[tcol_at(cpos)..tcol_at(cpos) + mrows];
-                    let dcol = &mut cj.lpanel[dc * ldd..(dc + 1) * ldd];
-                    for (rpos, &dp) in map.iter().enumerate() {
-                        if dp != u32::MAX {
-                            dcol[dstart + dp as usize] -= tcol[rpos];
-                        } else {
-                            debug_assert_eq!(tcol[rpos], 0.0, "nonzero into missing L row");
-                        }
-                    }
-                }
-            }
-            Less => {
-                // destination: U block (i, j) — full height, masked cols.
-                // The whole block (or individual columns) may be absent
-                // for pure-padding contributions, which are exactly zero.
-                let map = pattern.scatter_map(k, li, uj);
-                let cj = &mut m.cols[j];
-                let Ok(db) = cj.ublocks.binary_search_by_key(&(i as u32), |u| u.k) else {
-                    debug_assert!(map.iter().all(|&p| p == u32::MAX));
-                    debug_assert!(
-                        (0..nuc).all(|c| scratch.temp[tcol_at(c)..tcol_at(c) + mrows]
-                            .iter()
-                            .all(|&v| v == 0.0)),
-                        "nonzero update into absent U block ({i},{j})"
-                    );
-                    continue;
-                };
-                let dest = &mut cj.ublocks[db];
-                let ldd = dest.h as usize;
-                let lo_i = dest.lo_k as usize;
-                for (cpos, &dcp) in map.iter().enumerate() {
-                    let tcol = &scratch.temp[tcol_at(cpos)..tcol_at(cpos) + mrows];
-                    if dcp == u32::MAX {
-                        debug_assert!(tcol.iter().all(|&v| v == 0.0), "nonzero into missing U col");
-                        continue;
-                    }
-                    let dcol = &mut dest.panel[dcp as usize * ldd..(dcp as usize + 1) * ldd];
-                    for (rpos, &g) in rows.iter().enumerate() {
-                        dcol[g as usize - lo_i] -= tcol[rpos];
-                    }
-                }
-            }
-        }
-    }
-    stats.update_scatter_secs += t_scatter.elapsed().as_secs_f64();
+    let task = UpdateTask {
+        pattern: &pattern,
+        k,
+        j,
+        uj,
+        mine: &|_| true,
+    };
+    let seg = |li: usize| (&panel.lpanel[panel.lsegs[li].start as usize..], nl);
+    let src = LSource {
+        seg: &seg,
+        stacked: true,
+    };
+    let u = &m.cols[j].ublocks[ub_idx].panel;
+    let started = update::gather(&task, &src, u, lpack, stats, scratch);
+    update::apply(&task, started, lpack, &mut m.cols[j], stats, scratch);
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::storage::BlockMatrix;
     use splu_sparse::gen::{self, ValueModel};

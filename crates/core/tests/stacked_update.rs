@@ -1,9 +1,10 @@
-//! Bitwise-identity suite for the stacked supernodal update path.
+//! Bitwise-identity suite for the supernodal update path.
 //!
-//! The update stage packs a processor's destination row segments into one
-//! tall GEMM and scatters the product through the `BlockPattern`'s
-//! precomputed maps. That reorganization must not change a single bit of
-//! the factors: every driver (1D, 2D in both synchronization modes, on
+//! The update stage runs each destination row segment through a
+//! shape-chosen kernel — packed GEMM tiles subtracted straight into the
+//! destination, or stacked small-shape products scattered afterwards —
+//! through the `BlockPattern`'s precomputed maps. That organization must
+//! not change a single bit of the factors across drivers: every driver (1D, 2D in both synchronization modes, on
 //! every tested grid) is compared entry-for-entry with `f64::to_bits`
 //! against the sequential driver on shrunk instances of the full
 //! synthetic suite. A warmed-refactorization test additionally proves

@@ -18,6 +18,11 @@
 //!   write-back to the valid sub-tile, so no shape needs a separate code
 //!   path.
 //!
+//! The sparse update uses the blocked path's pieces directly: [`pack_a`]
+//! and [`pack_b`] pack an operand once, and [`dgemm_packed_sub_scatter`]
+//! subtracts each register tile straight into a scattered destination
+//! ([`Scatter`]), with no product buffer in between.
+//!
 //! Path selection depends only on the problem shape `(m, n, k)`, never on
 //! the data, so every driver (sequential, 1D, 2D, pipelined) performs
 //! bit-identical arithmetic for the same logical update — the parallel
@@ -89,6 +94,64 @@ fn ensure_len<'a>(v: &'a mut Vec<f64>, len: usize, grow_events: &mut u64) -> &'a
     &mut v[..len]
 }
 
+/// Row segments of one panel packed for [`dgemm_packed_sub_scatter`],
+/// filled lazily: segment `s` is packed ([`pack_a`]) the first time it is
+/// asked for and read in place after that, until the next
+/// [`SegmentPack::reset`]. Buffers only grow; capacity growth is counted
+/// like [`GemmScratch`]'s.
+#[derive(Debug, Default)]
+pub struct SegmentPack {
+    data: Vec<f64>,
+    /// Offset of each segment's panels in `data` (`usize::MAX` = not yet).
+    offs: Vec<usize>,
+    grow_events: u64,
+}
+
+impl SegmentPack {
+    /// Forget every packed segment and make room for `nsegs` of them.
+    pub fn reset(&mut self, nsegs: usize) {
+        self.data.clear();
+        self.offs.clear();
+        if self.offs.capacity() < nsegs {
+            self.grow_events += 1;
+        }
+        self.offs.resize(nsegs, usize::MAX);
+    }
+
+    /// Pack segment `s` — `m` rows of `a` (leading dimension `lda`) at
+    /// depth `k` — unless it already is.
+    pub fn pack(&mut self, s: usize, m: usize, k: usize, a: &[f64], lda: usize) {
+        if self.offs[s] == usize::MAX {
+            let (off, len) = (self.data.len(), packed_a_len(m, k));
+            if self.data.capacity() < off + len {
+                self.grow_events += 1;
+                self.data.reserve(len);
+            }
+            self.data.resize(off + len, 0.0);
+            pack_a(m, k, a, lda, &mut self.data[off..]);
+            self.offs[s] = off;
+        }
+    }
+
+    /// The packed form of segment `s` (from its first panel on).
+    ///
+    /// # Panics
+    /// If `s` was not packed since the last reset.
+    pub fn get(&self, s: usize) -> &[f64] {
+        &self.data[self.offs[s]..]
+    }
+
+    /// Number of times a buffer had to grow its capacity.
+    pub fn grow_events(&self) -> u64 {
+        self.grow_events
+    }
+
+    /// High-water footprint of the buffers, in bytes.
+    pub fn peak_bytes(&self) -> usize {
+        (self.data.capacity() + self.offs.capacity()) * 8
+    }
+}
+
 thread_local! {
     static TLS_SCRATCH: RefCell<GemmScratch> = RefCell::new(GemmScratch::new());
 }
@@ -149,7 +212,7 @@ pub fn dgemm_with(
     if alpha == 0.0 || k == 0 {
         return;
     }
-    if m >= BLOCK_MIN_DIM && n >= BLOCK_MIN_DIM && k >= BLOCK_MIN_DIM {
+    if gemm_uses_blocked_path(m, n, k) {
         gemm_blocked(m, n, k, alpha, a, lda, b, ldb, c, ldc, scratch);
     } else {
         gemm_axpy(m, n, k, alpha, a, lda, b, ldb, c, ldc);
@@ -163,11 +226,12 @@ pub fn dgemm_with(
 ///
 /// Within either path, the value of each `C` element depends only on its
 /// own row of `A`, its own column of `B` and the path's `k`-reduction
-/// order — never on `m`, `lda` or `ldc`. Callers exploit this to *stack*
-/// several row segments into one tall call: splitting the rows at
-/// arbitrary boundaries and issuing one call per maximal run of segments
-/// that agree on this predicate is bitwise identical to one call per
-/// segment (use [`dgemm_naive`] for the runs where it returns `false`).
+/// order — never on `m`, `lda` or `ldc`. The sparse update relies on this
+/// to pick a kernel per destination segment: shapes for which this holds
+/// run [`dgemm_packed_sub_scatter`] on operands packed once (bitwise the
+/// blocked path followed by a scatter), the others run [`dgemm_naive`]
+/// into a buffer — several adjacent row segments stacked into one call
+/// if they like — followed by [`scatter_sub`].
 pub fn gemm_uses_blocked_path(m: usize, n: usize, k: usize) -> bool {
     m >= BLOCK_MIN_DIM && n >= BLOCK_MIN_DIM && k >= BLOCK_MIN_DIM
 }
@@ -268,11 +332,22 @@ fn gemm_axpy(
     }
 }
 
+/// Length of the packed form of an `m × k` `A` operand ([`pack_a`]).
+pub fn packed_a_len(m: usize, k: usize) -> usize {
+    m.div_ceil(MR) * k * MR
+}
+
+/// Length of the packed form of a `k × n` `B` operand ([`pack_b`]).
+pub fn packed_b_len(k: usize, n: usize) -> usize {
+    n.div_ceil(NR) * k * NR
+}
+
 /// Pack an `mc × kc` block of `A` into MR-row micro-panels: panel `t`
 /// covers rows `[t*MR, t*MR+MR)` and stores, for each `p` in `0..kc`, the
 /// MR row values contiguously. Rows past `mc` are zero-padded so the
-/// micro-kernel never needs a fringe variant.
-fn pack_a(mc: usize, kc: usize, a: &[f64], lda: usize, into: &mut [f64]) {
+/// micro-kernel never needs a fringe variant. `into` must hold
+/// [`packed_a_len`]`(mc, kc)` values.
+pub fn pack_a(mc: usize, kc: usize, a: &[f64], lda: usize, into: &mut [f64]) {
     let mut dst = 0usize;
     let mut ir = 0usize;
     while ir < mc {
@@ -298,8 +373,9 @@ fn pack_a(mc: usize, kc: usize, a: &[f64], lda: usize, into: &mut [f64]) {
 
 /// Pack a `kc × nc` block of `B` into NR-column micro-panels: panel `t`
 /// covers columns `[t*NR, t*NR+NR)` and stores, for each `p` in `0..kc`,
-/// the NR column values contiguously (zero-padded past `nc`).
-fn pack_b(kc: usize, nc: usize, b: &[f64], ldb: usize, into: &mut [f64]) {
+/// the NR column values contiguously (zero-padded past `nc`). `into` must
+/// hold [`packed_b_len`]`(kc, nc)` values.
+pub fn pack_b(kc: usize, nc: usize, b: &[f64], ldb: usize, into: &mut [f64]) {
     let mut dst = 0usize;
     let mut jr = 0usize;
     while jr < nc {
@@ -349,6 +425,18 @@ mod x86 {
         })
     }
 
+    /// AVX-512 (F + VL) on top of [`has_fma`]: 32 vector registers, enough
+    /// for the 8×4 tile of [`tile8_fma`].
+    pub fn has_avx512() -> bool {
+        use std::sync::OnceLock;
+        static HAS: OnceLock<bool> = OnceLock::new();
+        *HAS.get_or_init(|| {
+            has_fma()
+                && std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512vl")
+        })
+    }
+
     /// # Safety
     /// Caller must ensure AVX2 and FMA are available (see [`has_fma`]) and
     /// that `a.len() == kc * MR`, `b.len() == kc * NR` for the same `kc`.
@@ -395,6 +483,162 @@ mod x86 {
         _mm256_storeu_pd(acc[2].as_mut_ptr(), _mm256_add_pd(c2a, c2b));
         _mm256_storeu_pd(acc[3].as_mut_ptr(), _mm256_add_pd(c3a, c3b));
     }
+
+    /// [`super::dgemm_packed_sub_scatter`] compiled for AVX2+FMA.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 and FMA are available (see [`has_fma`]).
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn packed_sub_scatter_fma(
+        m: usize,
+        n: usize,
+        k: usize,
+        apack: &[f64],
+        bpack: &[f64],
+        dest: &mut [f64],
+        to: &super::Scatter,
+    ) -> f64 {
+        super::packed_sub_scatter::<{ super::FMA }>(m, n, k, apack, bpack, dest, to)
+    }
+
+    /// [`super::dgemm_packed_sub_scatter`] compiled for AVX-512, pairing
+    /// 4-row tiles into the 8×4 tiles of [`tile8_fma`].
+    ///
+    /// # Safety
+    /// Caller must ensure [`has_avx512`].
+    #[target_feature(
+        enable = "avx2",
+        enable = "fma",
+        enable = "avx512f",
+        enable = "avx512vl"
+    )]
+    pub unsafe fn packed_sub_scatter_avx512(
+        m: usize,
+        n: usize,
+        k: usize,
+        apack: &[f64],
+        bpack: &[f64],
+        dest: &mut [f64],
+        to: &super::Scatter,
+    ) -> f64 {
+        super::packed_sub_scatter::<{ super::FMA8 }>(m, n, k, apack, bpack, dest, to)
+    }
+
+    /// Two vertically adjacent whole-depth tiles of [`tile_fma`] at once:
+    /// `a` holds two consecutive packed A micro-panels (rows `0..4` and
+    /// `4..8`), both multiplied by the same B micro-panel so every `B`
+    /// broadcast feeds two FMAs. Each element runs exactly the FMA
+    /// sequence of [`micro_4x4_fma`] (even depths into one accumulator
+    /// bank, odd into the other, banks added at the end of a KC chunk,
+    /// chunk tiles added onto `0.0` in order), so the bits are those of two
+    /// [`tile_fma`] calls. The sixteen accumulators need AVX-512's 32
+    /// vector registers.
+    ///
+    /// # Safety
+    /// Caller must ensure [`has_avx512`], `a.len() == 2 * k * MR` and
+    /// `b.len() == k * NR`.
+    #[target_feature(
+        enable = "avx2",
+        enable = "fma",
+        enable = "avx512f",
+        enable = "avx512vl"
+    )]
+    pub unsafe fn tile8_fma(
+        a: &[f64],
+        b: &[f64],
+        k: usize,
+        kc_max: usize,
+    ) -> ([[f64; MR]; NR], [[f64; MR]; NR]) {
+        debug_assert!(a.len() == 2 * k * MR && b.len() == k * NR);
+        let (a0, a1) = a.split_at(k * MR);
+        let mut t0 = [_mm256_setzero_pd(); NR];
+        let mut t1 = [_mm256_setzero_pd(); NR];
+        let mut pc = 0usize;
+        while pc < k {
+            let kc = kc_max.min(k - pc);
+            let (p0, p1, pb) = (
+                a0.as_ptr().add(pc * MR),
+                a1.as_ptr().add(pc * MR),
+                b.as_ptr().add(pc * NR),
+            );
+            let mut ca0 = [_mm256_setzero_pd(); NR];
+            let mut ca1 = [_mm256_setzero_pd(); NR];
+            let mut cb0 = [_mm256_setzero_pd(); NR];
+            let mut cb1 = [_mm256_setzero_pd(); NR];
+            let mut p = 0usize;
+            while p + 2 <= kc {
+                let (x0, x1) = (
+                    _mm256_loadu_pd(p0.add(p * MR)),
+                    _mm256_loadu_pd(p1.add(p * MR)),
+                );
+                let (y0, y1) = (
+                    _mm256_loadu_pd(p0.add((p + 1) * MR)),
+                    _mm256_loadu_pd(p1.add((p + 1) * MR)),
+                );
+                for j in 0..NR {
+                    let bj = _mm256_broadcast_sd(&*pb.add(p * NR + j));
+                    ca0[j] = _mm256_fmadd_pd(x0, bj, ca0[j]);
+                    ca1[j] = _mm256_fmadd_pd(x1, bj, ca1[j]);
+                    let bj = _mm256_broadcast_sd(&*pb.add((p + 1) * NR + j));
+                    cb0[j] = _mm256_fmadd_pd(y0, bj, cb0[j]);
+                    cb1[j] = _mm256_fmadd_pd(y1, bj, cb1[j]);
+                }
+                p += 2;
+            }
+            if p < kc {
+                let (x0, x1) = (
+                    _mm256_loadu_pd(p0.add(p * MR)),
+                    _mm256_loadu_pd(p1.add(p * MR)),
+                );
+                for j in 0..NR {
+                    let bj = _mm256_broadcast_sd(&*pb.add(p * NR + j));
+                    ca0[j] = _mm256_fmadd_pd(x0, bj, ca0[j]);
+                    ca1[j] = _mm256_fmadd_pd(x1, bj, ca1[j]);
+                }
+            }
+            for j in 0..NR {
+                t0[j] = _mm256_add_pd(t0[j], _mm256_add_pd(ca0[j], cb0[j]));
+                t1[j] = _mm256_add_pd(t1[j], _mm256_add_pd(ca1[j], cb1[j]));
+            }
+            pc += kc_max;
+        }
+        let mut out0 = [[0.0f64; MR]; NR];
+        let mut out1 = [[0.0f64; MR]; NR];
+        for j in 0..NR {
+            _mm256_storeu_pd(out0[j].as_mut_ptr(), t0[j]);
+            _mm256_storeu_pd(out1[j].as_mut_ptr(), t1[j]);
+        }
+        (out0, out1)
+    }
+
+    /// The whole-depth tile of [`super::dgemm_packed_sub_scatter`]: the
+    /// KC-chunk tiles of [`micro_4x4_fma`] summed onto `0.0` in ascending
+    /// depth, kept in registers across chunks.
+    ///
+    /// # Safety
+    /// As [`micro_4x4_fma`], with `a.len() == k * MR`, `b.len() == k * NR`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn tile_fma(a: &[f64], b: &[f64], k: usize, kc_max: usize) -> [[f64; MR]; NR] {
+        let mut t = [_mm256_setzero_pd(); NR];
+        let mut acc = [[0.0f64; MR]; NR];
+        let mut pc = 0usize;
+        while pc < k {
+            let kc = kc_max.min(k - pc);
+            micro_4x4_fma(
+                &a[pc * MR..(pc + kc) * MR],
+                &b[pc * NR..(pc + kc) * NR],
+                &mut acc,
+            );
+            for (tj, aj) in t.iter_mut().zip(&acc) {
+                *tj = _mm256_add_pd(*tj, _mm256_loadu_pd(aj.as_ptr()));
+            }
+            pc += kc_max;
+        }
+        for (aj, tj) in acc.iter_mut().zip(&t) {
+            _mm256_storeu_pd(aj.as_mut_ptr(), *tj);
+        }
+        acc
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -405,6 +649,56 @@ fn has_fma() -> bool {
 #[cfg(not(target_arch = "x86_64"))]
 fn has_fma() -> bool {
     false
+}
+
+/// One register tile `ap · bp` over packed micro-panels of equal depth,
+/// on the FMA micro-kernel when `fma` (runtime-detected) and the scalar
+/// one otherwise.
+#[inline(always)]
+fn micro_tile(ap: &[f64], bp: &[f64], fma: bool) -> [[f64; MR]; NR] {
+    let mut acc = [[0.0f64; MR]; NR];
+    if fma {
+        // SAFETY: `fma` comes from runtime AVX2+FMA detection; ap/bp are
+        // full packed micro-panels of equal depth.
+        #[cfg(target_arch = "x86_64")]
+        unsafe {
+            x86::micro_4x4_fma(ap, bp, &mut acc)
+        };
+    } else {
+        micro_4x4(ap, bp, &mut acc);
+    }
+    acc
+}
+
+/// The whole-depth register tile of [`dgemm_packed_sub_scatter`]: the
+/// KC-chunk tiles of `ap · bp` (depth `k`) added in ascending order onto
+/// `0.0` — per element exactly what [`gemm_blocked`]'s chunked write-back
+/// into a zeroed `C` computes.
+#[inline(always)]
+fn tile_sum(ap: &[f64], bp: &[f64], k: usize, fma: bool) -> [[f64; MR]; NR] {
+    if fma {
+        // SAFETY: `fma` comes from runtime AVX2+FMA detection; ap/bp are
+        // full packed micro-panels of depth k.
+        #[cfg(target_arch = "x86_64")]
+        return unsafe { x86::tile_fma(ap, bp, k, KC) };
+    }
+    let mut t = [[0.0f64; MR]; NR];
+    let mut pc = 0usize;
+    while pc < k {
+        let kc = KC.min(k - pc);
+        let acc = micro_tile(
+            &ap[pc * MR..(pc + kc) * MR],
+            &bp[pc * NR..(pc + kc) * NR],
+            false,
+        );
+        for (tj, aj) in t.iter_mut().zip(&acc) {
+            for (tv, &av) in tj.iter_mut().zip(aj) {
+                *tv += av;
+            }
+        }
+        pc += KC;
+    }
+    t
 }
 
 /// GEBP-blocked `C += alpha * A * B` (no beta handling, no flop
@@ -428,23 +722,21 @@ fn gemm_blocked(
     let mut jc = 0usize;
     while jc < n {
         let nc = NC.min(n - jc);
-        let nc_tiles = nc.div_ceil(NR);
         let mut pc = 0usize;
         while pc < k {
             let kc = KC.min(k - pc);
             let bpack = ensure_len(
                 &mut scratch.bpack,
-                nc_tiles * kc * NR,
+                packed_b_len(kc, nc),
                 &mut scratch.grow_events,
             );
             pack_b(kc, nc, &b[pc + jc * ldb..], ldb, bpack);
             let mut ic = 0usize;
             while ic < m {
                 let mc = MC.min(m - ic);
-                let mc_tiles = mc.div_ceil(MR);
                 let apack = ensure_len(
                     &mut scratch.apack,
-                    mc_tiles * kc * MR,
+                    packed_a_len(mc, kc),
                     &mut scratch.grow_events,
                 );
                 pack_a(mc, kc, &a[ic + pc * lda..], lda, apack);
@@ -456,17 +748,7 @@ fn gemm_blocked(
                     while ir < mc {
                         let mr = MR.min(mc - ir);
                         let ap = &apack[(ir / MR) * kc * MR..][..kc * MR];
-                        let mut acc = [[0.0f64; MR]; NR];
-                        if fma {
-                            // SAFETY: gated on runtime AVX2+FMA detection;
-                            // ap/bp are full packed micro-panels of equal kc.
-                            #[cfg(target_arch = "x86_64")]
-                            unsafe {
-                                x86::micro_4x4_fma(ap, bp, &mut acc)
-                            };
-                        } else {
-                            micro_4x4(ap, bp, &mut acc);
-                        }
+                        let acc = micro_tile(ap, bp, fma);
                         // Write back only the valid mr × nr sub-tile.
                         for (j, accj) in acc.iter().enumerate().take(nr) {
                             let coff = (jc + jr + j) * ldc + ic + ir;
@@ -485,6 +767,190 @@ fn gemm_blocked(
         }
         jc += NC;
     }
+}
+
+/// Where a product lands in a scatter-subtract: element `(r, c)` of an
+/// `m × n` product is subtracted from
+/// `dest[(rows[r] - row0) + (cols[c] - col0) * ld]` — so `rows`/`cols`
+/// may hold global indices with the destination block's first index as
+/// base, or block-local ones with base 0. A `u32::MAX` entry in `rows` or
+/// `cols` marks a row or column with no destination slot; its values are
+/// dropped, never written.
+#[derive(Debug, Clone, Copy)]
+pub struct Scatter<'a> {
+    /// Destination row of each product row (`u32::MAX` = none).
+    pub rows: &'a [u32],
+    /// Subtracted from every destination row.
+    pub row0: u32,
+    /// Destination column of each product column (`u32::MAX` = none).
+    pub cols: &'a [u32],
+    /// Subtracted from every destination column.
+    pub col0: u32,
+    /// Leading dimension of the destination.
+    pub ld: usize,
+}
+
+/// `dest[rows[r] + cols[c]·ld] -= A·B[r, c]` (less the [`Scatter`]
+/// bases) for an `m × n` product of
+/// depth `k` on the blocked path's arithmetic, straight from packed
+/// operands (`apack` from [`pack_a`]`(m, k, …)`, `bpack` from
+/// [`pack_b`]`(k, n, …)`): each register tile sums its KC chunks in
+/// ascending depth and is subtracted from the destination in place, so
+/// every element is bitwise what [`dgemm_with`] (`alpha = 1`, `beta = 0`)
+/// into a buffer followed by `dest -= buffer` produces for this shape.
+/// Returns the largest magnitude dropped at `u32::MAX` slots (callers whose
+/// unmapped slots hold structural zeros check it is `0.0`).
+///
+/// Meant for shapes where [`gemm_uses_blocked_path`] holds; other shapes
+/// belong on [`dgemm_naive`] + [`scatter_sub`], whose arithmetic differs.
+pub fn dgemm_packed_sub_scatter(
+    m: usize,
+    n: usize,
+    k: usize,
+    apack: &[f64],
+    bpack: &[f64],
+    dest: &mut [f64],
+    to: &Scatter,
+) -> f64 {
+    debug_assert!(apack.len() >= packed_a_len(m, k) && bpack.len() >= packed_b_len(k, n));
+    debug_assert!(to.rows.len() >= m && to.cols.len() >= n);
+    #[cfg(target_arch = "x86_64")]
+    let dropped = if x86::has_avx512() {
+        // SAFETY: gated on runtime AVX-512 F+VL (and AVX2+FMA) detection.
+        unsafe { x86::packed_sub_scatter_avx512(m, n, k, apack, bpack, dest, to) }
+    } else if has_fma() {
+        // SAFETY: gated on runtime AVX2+FMA detection.
+        unsafe { x86::packed_sub_scatter_fma(m, n, k, apack, bpack, dest, to) }
+    } else {
+        packed_sub_scatter::<SCALAR>(m, n, k, apack, bpack, dest, to)
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let dropped = packed_sub_scatter::<SCALAR>(m, n, k, apack, bpack, dest, to);
+    record(FlopClass::Blas3, (2 * m * n * k) as u64);
+    dropped
+}
+
+/// Micro-kernels of a [`packed_sub_scatter`] copy: the scalar 4×4, the
+/// AVX2+FMA 4×4, and the AVX-512 8×4 (two FMA 4×4 tiles at once).
+const SCALAR: u8 = 0;
+#[cfg(target_arch = "x86_64")]
+const FMA: u8 = 1;
+#[cfg(target_arch = "x86_64")]
+const FMA8: u8 = 2;
+
+/// The loop nest of [`dgemm_packed_sub_scatter`] on micro-kernel
+/// `KERNEL`. Always inlined, so each SIMD entry point compiles the tiles
+/// and their write-back as one routine for its instruction set.
+#[inline(always)]
+fn packed_sub_scatter<const KERNEL: u8>(
+    m: usize,
+    n: usize,
+    k: usize,
+    apack: &[f64],
+    bpack: &[f64],
+    dest: &mut [f64],
+    to: &Scatter,
+) -> f64 {
+    let mut dropped = 0.0f64;
+    // subtract the valid `mr × nr` part of a 4-row tile at (`ir`, `jr`)
+    let mut write = |t: &[[f64; MR]; NR], ir: usize, mr: usize, jr: usize, nr: usize| {
+        let rows = &to.rows[ir..ir + mr];
+        // whole 4-row columns when the destination rows run
+        // consecutively (the common dense-subrow case)
+        let r0 = rows[0];
+        let run = mr == MR
+            && r0 < u32::MAX - 3
+            && rows[MR - 1] == r0 + 3
+            && rows[1] == r0 + 1
+            && rows[2] == r0 + 2;
+        for (tj, &c) in t.iter().take(nr).zip(&to.cols[jr..]) {
+            if c == u32::MAX {
+                dropped = tj[..mr].iter().fold(dropped, |d, v| d.max(v.abs()));
+                continue;
+            }
+            let col = (c - to.col0) as usize * to.ld;
+            if run {
+                let d0 = col + (r0 - to.row0) as usize;
+                let d = &mut dest[d0..d0 + MR];
+                for (dv, &tv) in d.iter_mut().zip(tj) {
+                    *dv -= tv;
+                }
+                continue;
+            }
+            for (&tv, &r) in tj[..mr].iter().zip(rows) {
+                if r == u32::MAX {
+                    dropped = dropped.max(tv.abs());
+                } else {
+                    dest[col + (r - to.row0) as usize] -= tv;
+                }
+            }
+        }
+    };
+    let mut ic = 0usize;
+    while ic < m {
+        let mc = MC.min(m - ic);
+        let mut jr = 0usize;
+        while jr < n {
+            let nr = NR.min(n - jr);
+            let bp = &bpack[(jr / NR) * k * NR..][..k * NR];
+            let mut ir = ic;
+            while ir < ic + mc {
+                #[cfg(target_arch = "x86_64")]
+                if KERNEL == FMA8 && ir + 2 * MR <= ic + mc {
+                    let ap = &apack[(ir / MR) * k * MR..][..2 * k * MR];
+                    // SAFETY: this copy runs only inside the AVX-512
+                    // entry point; `ap` is two full panels of depth k.
+                    let (t0, t1) = unsafe { x86::tile8_fma(ap, bp, k, KC) };
+                    write(&t0, ir, MR, jr, nr);
+                    write(&t1, ir + MR, MR, jr, nr);
+                    ir += 2 * MR;
+                    continue;
+                }
+                let mr = MR.min(ic + mc - ir);
+                let ap = &apack[(ir / MR) * k * MR..][..k * MR];
+                // the product `dgemm_with` leaves in a zeroed buffer: the
+                // KC-chunk tiles added in order onto 0.0
+                let t = tile_sum(ap, bp, k, KERNEL != SCALAR);
+                write(&t, ir, mr, jr, nr);
+                ir += MR;
+            }
+            jr += NR;
+        }
+        ic += MC;
+    }
+    dropped
+}
+
+/// `dest[rows[r] + cols[c]·ld] -= src[r + c·lds]` (less the [`Scatter`]
+/// bases) over an `m × n` block
+/// (the write-back of a product computed into a buffer). Returns the
+/// largest magnitude dropped at `u32::MAX` slots, like
+/// [`dgemm_packed_sub_scatter`].
+pub fn scatter_sub(
+    m: usize,
+    n: usize,
+    src: &[f64],
+    lds: usize,
+    dest: &mut [f64],
+    to: &Scatter,
+) -> f64 {
+    let mut dropped = 0.0f64;
+    for (c, &dc) in to.cols[..n].iter().enumerate() {
+        let scol = &src[c * lds..c * lds + m];
+        if dc == u32::MAX {
+            dropped = scol.iter().fold(dropped, |d, v| d.max(v.abs()));
+            continue;
+        }
+        let col = (dc - to.col0) as usize * to.ld;
+        for (&v, &r) in scol.iter().zip(&to.rows[..m]) {
+            if r == u32::MAX {
+                dropped = dropped.max(v.abs());
+            } else {
+                dest[col + (r - to.row0) as usize] -= v;
+            }
+        }
+    }
+    dropped
 }
 
 /// The sparse-LU update form `C -= A * B` (i.e. `dgemm` with `alpha = -1`,
@@ -1089,19 +1555,19 @@ mod tests {
 
     #[test]
     fn flop_counter_records_blas3() {
-        use crate::flops::{global, FlopClass};
-        let before = global().get(FlopClass::Blas3);
+        use crate::flops::{thread_count, FlopClass};
+        let before = thread_count(FlopClass::Blas3);
         let a = DenseMat::identity(4);
         let b = DenseMat::identity(4);
         let mut c = DenseMat::zeros(4, 4);
         dgemm_full(&a, &b, 1.0, 0.0, &mut c);
-        assert_eq!(global().get(FlopClass::Blas3) - before, 2 * 4 * 4 * 4);
+        assert_eq!(thread_count(FlopClass::Blas3) - before, 2 * 4 * 4 * 4);
     }
 
     /// Blocked trsm must not double-count the internal GEMM flops.
     #[test]
     fn flop_counter_trsm_blocked_counts_once() {
-        use crate::flops::{global, FlopClass};
+        use crate::flops::{thread_count, FlopClass};
         let m = TB + 5;
         let n = 3;
         let l = DenseMat::from_fn(m, m, |i, j| {
@@ -1115,8 +1581,248 @@ mod tests {
         });
         let mut b = DenseMat::from_fn(m, n, |i, j| (i + j) as f64);
         let ldb = b.lda();
-        let before = global().get(FlopClass::Blas3);
+        let before = thread_count(FlopClass::Blas3);
         dtrsm_left_lower_unit(m, n, l.as_slice(), m, b.as_mut_slice(), ldb);
-        assert_eq!(global().get(FlopClass::Blas3) - before, (m * m * n) as u64);
+        assert_eq!(thread_count(FlopClass::Blas3) - before, (m * m * n) as u64);
+    }
+
+    /// The update-stage kernel pair for one product: the fused packed
+    /// path on blocked shapes, `dgemm_naive` into a buffer + `scatter_sub`
+    /// otherwise. Returns the dropped magnitude.
+    #[allow(clippy::too_many_arguments)]
+    fn update_sub(
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f64],
+        lda: usize,
+        b: &[f64],
+        ldb: usize,
+        dest: &mut [f64],
+        to: &Scatter,
+    ) -> f64 {
+        if gemm_uses_blocked_path(m, n, k) {
+            let mut ap = vec![f64::NAN; packed_a_len(m, k)];
+            let mut bp = vec![f64::NAN; packed_b_len(k, n)];
+            pack_a(m, k, a, lda, &mut ap);
+            pack_b(k, n, b, ldb, &mut bp);
+            dgemm_packed_sub_scatter(m, n, k, &ap, &bp, dest, to)
+        } else {
+            let mut t = vec![f64::NAN; m * n];
+            dgemm_naive(m, n, k, 1.0, a, lda, b, ldb, 0.0, &mut t, m);
+            scatter_sub(m, n, &t, m, dest, to)
+        }
+    }
+
+    /// Destination maps of two kinds inside a taller, wider destination,
+    /// as a [`Scatter`]'s `(rows, cols, ld, base)` with `row0 = col0 =
+    /// base`: `reversed` puts block-local rows in reverse order and marks
+    /// every third row and every fourth column `u32::MAX` (no slot);
+    /// otherwise rows run consecutively (whole-column tiles) as global
+    /// indices above base 100, except that row 5 has no slot, and only the
+    /// second column has none.
+    fn scatter_maps(m: usize, n: usize, reversed: bool) -> (Vec<u32>, Vec<u32>, usize, u32) {
+        let base = if reversed { 0 } else { 100 };
+        let rows = (0..m)
+            .map(|r| match reversed {
+                true if r % 3 == 2 => u32::MAX,
+                true => (m - 1 - r + 2) as u32,
+                false if r == 5 => u32::MAX,
+                false => (r + 2) as u32 + base,
+            })
+            .collect();
+        let cols = (0..n)
+            .map(|c| match reversed {
+                true if c % 4 == 3 => u32::MAX,
+                false if c == 1 => u32::MAX,
+                _ => (2 * c + 1) as u32 + base,
+            })
+            .collect();
+        (rows, cols, m + 5, base)
+    }
+
+    /// The fused path is bitwise `dgemm_with` into a buffer followed by an
+    /// explicit scatter-subtract, on both sides of the blocked boundary
+    /// and across a KC chunk boundary; unmapped slots are never written.
+    #[test]
+    fn fused_update_matches_dgemm_with_then_scatter_bitwise() {
+        let dims: Vec<usize> = (1..=9).chain([25]).collect();
+        for &k in &[8usize, 25, KC + 1] {
+            for (&m, &n, reversed) in dims
+                .iter()
+                .flat_map(|m| dims.iter().map(move |n| (m, n)))
+                .flat_map(|(m, n)| [(m, n, true), (m, n, false)])
+            {
+                let a = DenseMat::from_fn(m, k, |i, p| ((i * 7 + p * 13) % 17) as f64 / 7.0 - 1.1);
+                let b = DenseMat::from_fn(k, n, |p, j| ((p * 5 + j * 11) % 19) as f64 / 9.0 - 0.9);
+                let (rows, cols, ld, base) = scatter_maps(m, n, reversed);
+                let to = Scatter {
+                    rows: &rows,
+                    row0: base,
+                    cols: &cols,
+                    col0: base,
+                    ld,
+                };
+                let ncols = 2 * n + 1;
+                let dest0: Vec<f64> = (0..ld * ncols)
+                    .map(|x| (x % 23) as f64 * 0.25 - 2.0)
+                    .collect();
+
+                // reference: dgemm_with into a zeroed buffer, then scatter by hand
+                let mut prod = vec![0.0; m * n];
+                dgemm_with(
+                    m,
+                    n,
+                    k,
+                    1.0,
+                    a.as_slice(),
+                    m,
+                    b.as_slice(),
+                    k,
+                    0.0,
+                    &mut prod,
+                    m,
+                    &mut GemmScratch::new(),
+                );
+                let mut want = dest0.clone();
+                for c in 0..n {
+                    for r in 0..m {
+                        if rows[r] != u32::MAX && cols[c] != u32::MAX {
+                            let (dr, dc) = ((rows[r] - base) as usize, (cols[c] - base) as usize);
+                            want[dr + dc * ld] -= prod[r + c * m];
+                        }
+                    }
+                }
+
+                let mut got = dest0.clone();
+                let dropped = update_sub(m, n, k, a.as_slice(), m, b.as_slice(), k, &mut got, &to);
+                for (x, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "({m},{n},{k}) dest[{x}]: {g:e} vs {w:e}"
+                    );
+                }
+                // untouched slots keep their bits (covered above), and
+                // the dropped magnitude is that of the unmapped products
+                let mut want_dropped = 0.0f64;
+                for c in 0..n {
+                    for r in 0..m {
+                        if rows[r] == u32::MAX || cols[c] == u32::MAX {
+                            want_dropped = want_dropped.max(prod[r + c * m].abs());
+                        }
+                    }
+                }
+                assert_eq!(
+                    dropped.to_bits(),
+                    want_dropped.to_bits(),
+                    "({m},{n},{k}) dropped"
+                );
+            }
+        }
+    }
+
+    /// Every SIMD copy of the fused kernel gives the same bits: the entry
+    /// point (8×4 tiles on an AVX-512 host) against the AVX2 4×4 copy that
+    /// hosts without AVX-512 run, across the MC row-block boundary and a KC
+    /// chunk boundary.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn fused_update_simd_copies_agree_bitwise() {
+        if !has_fma() {
+            return;
+        }
+        for &(m, n, k) in &[(8, 8, 8), (25, 25, 25), (13, 9, KC + 1), (MC + 9, 10, 25)] {
+            let a = DenseMat::from_fn(m, k, |i, p| ((i * 3 + p * 7) % 11) as f64 / 3.0 - 1.7);
+            let b = DenseMat::from_fn(k, n, |p, j| ((p * 5 + j * 2) % 13) as f64 / 5.0 - 1.3);
+            let mut ap = vec![0.0; packed_a_len(m, k)];
+            let mut bp = vec![0.0; packed_b_len(k, n)];
+            pack_a(m, k, a.as_slice(), m, &mut ap);
+            pack_b(k, n, b.as_slice(), k, &mut bp);
+            let (rows, cols, ld, base) = scatter_maps(m, n, false);
+            let to = Scatter {
+                rows: &rows,
+                row0: base,
+                cols: &cols,
+                col0: base,
+                ld,
+            };
+            let dest0: Vec<f64> = (0..ld * (2 * n + 1))
+                .map(|x| (x % 9) as f64 - 4.0)
+                .collect();
+            let mut got = dest0.clone();
+            dgemm_packed_sub_scatter(m, n, k, &ap, &bp, &mut got, &to);
+            let mut avx2 = dest0.clone();
+            // SAFETY: guarded by has_fma() above.
+            unsafe { x86::packed_sub_scatter_fma(m, n, k, &ap, &bp, &mut avx2, &to) };
+            for (x, (g, w)) in got.iter().zip(&avx2).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "({m},{n},{k}) dest[{x}]");
+            }
+        }
+    }
+
+    /// A destination holding only the mapped slots: any write through a
+    /// `u32::MAX` row or column would index past it and panic.
+    #[test]
+    fn fused_update_never_writes_unmapped_slots() {
+        let (m, n, k) = (13usize, 10usize, 25usize);
+        let a = DenseMat::from_fn(m, k, |i, p| (i + p) as f64);
+        let b = DenseMat::from_fn(k, n, |p, j| (p * j + 1) as f64);
+        let rows: Vec<u32> = (0..m)
+            .map(|r| if r % 2 == 0 { (r / 2) as u32 } else { u32::MAX })
+            .collect();
+        let cols: Vec<u32> = (0..n)
+            .map(|c| if c < 4 { c as u32 } else { u32::MAX })
+            .collect();
+        let to = Scatter {
+            rows: &rows,
+            row0: 0,
+            cols: &cols,
+            col0: 0,
+            ld: m.div_ceil(2),
+        };
+        let mut dest = vec![0.0; m.div_ceil(2) * 4];
+        let dropped = update_sub(m, n, k, a.as_slice(), m, b.as_slice(), k, &mut dest, &to);
+        assert!(dropped > 0.0);
+        assert!(
+            dest.iter().all(|v| *v != 0.0),
+            "every mapped slot was written"
+        );
+    }
+
+    /// The fused kernel records its `2·m·n·k` flops exactly once per call.
+    #[test]
+    fn fused_update_counts_flops_once() {
+        use crate::flops::{thread_count, FlopClass};
+        let (m, n, k) = (25usize, 9usize, KC + 1);
+        let a = DenseMat::from_fn(m, k, |i, p| (i as f64) - p as f64);
+        let b = DenseMat::from_fn(k, n, |p, j| (p + j) as f64 * 0.5);
+        let mut ap = vec![0.0; packed_a_len(m, k)];
+        let mut bp = vec![0.0; packed_b_len(k, n)];
+        pack_a(m, k, a.as_slice(), m, &mut ap);
+        pack_b(k, n, b.as_slice(), k, &mut bp);
+        let rows: Vec<u32> = (0..m as u32).collect();
+        let cols: Vec<u32> = (0..n as u32).collect();
+        let mut dest = vec![0.0; m * n];
+        let to = Scatter {
+            rows: &rows,
+            row0: 0,
+            cols: &cols,
+            col0: 0,
+            ld: m,
+        };
+        let before = thread_count(FlopClass::Blas3);
+        dgemm_packed_sub_scatter(m, n, k, &ap, &bp, &mut dest, &to);
+        assert_eq!(
+            thread_count(FlopClass::Blas3) - before,
+            (2 * m * n * k) as u64
+        );
+        let before = thread_count(FlopClass::Blas3);
+        scatter_sub(m, n, &ap, m, &mut dest, &to);
+        assert_eq!(
+            thread_count(FlopClass::Blas3),
+            before,
+            "a scatter is not a product"
+        );
     }
 }

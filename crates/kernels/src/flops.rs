@@ -16,8 +16,11 @@
 //! Counters are process-global relaxed atomics: one increment per *kernel
 //! call* (not per flop), so the overhead is negligible even in hot loops.
 //! For multi-threaded runs each simulated processor usually keeps a private
-//! [`FlopCounter`] and merges it at the end instead.
+//! [`FlopCounter`] and merges it at the end instead. Every record also
+//! lands in a per-thread total ([`thread_count`]), which a caller can read
+//! without seeing other threads' kernel calls.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which BLAS level a kernel belongs to, for cost-model purposes.
@@ -129,13 +132,27 @@ pub fn global() -> &'static FlopCounter {
     &GLOBAL
 }
 
-/// Record `n` flops of class `class` on the global counter, and (when
-/// the `probe` feature is on) on the calling thread's flight-recorder
-/// counter so a traced run attributes flops to the simulated processor
-/// that performed them.
+thread_local! {
+    static THREAD: [Cell<u64>; 3] = const { [Cell::new(0), Cell::new(0), Cell::new(0)] };
+}
+
+/// Flops of class `class` recorded so far by kernels called on the
+/// current thread (independent of the `probe` feature).
+pub fn thread_count(class: FlopClass) -> u64 {
+    THREAD.with(|t| t[class as usize].get())
+}
+
+/// Record `n` flops of class `class` on the global counter, on the
+/// calling thread's total ([`thread_count`]), and (when the `probe`
+/// feature is on) on the thread's flight-recorder counter so a traced run
+/// attributes flops to the simulated processor that performed them.
 #[inline]
 pub fn record(class: FlopClass, n: u64) {
     GLOBAL.add(class, n);
+    THREAD.with(|t| {
+        let c = &t[class as usize];
+        c.set(c.get().wrapping_add(n));
+    });
     let level = match class {
         FlopClass::Blas1 => splu_probe::flops::Level::L1,
         FlopClass::Blas2 => splu_probe::flops::Level::L2,

@@ -34,8 +34,9 @@ pub mod matrix;
 pub use blas1::{dasum, daxpy, dcopy, ddot, dnrm2, dscal, dswap, idamax};
 pub use blas2::{dgemv, dger, dtrsv_lower_unit, dtrsv_upper};
 pub use blas3::{
-    dgemm, dgemm_naive, dgemm_update, dgemm_update_with, dgemm_with, dtrsm_left_lower_unit,
-    dtrsm_left_upper, gemm_uses_blocked_path, GemmScratch,
+    dgemm, dgemm_naive, dgemm_packed_sub_scatter, dgemm_update, dgemm_update_with, dgemm_with,
+    dtrsm_left_lower_unit, dtrsm_left_upper, gemm_uses_blocked_path, pack_a, pack_b, packed_a_len,
+    packed_b_len, scatter_sub, GemmScratch, Scatter, SegmentPack,
 };
 pub use dense_lu::{dense_lu, dense_solve, DenseLu};
 pub use flops::{FlopClass, FlopCounter};

@@ -18,6 +18,7 @@
 
 use crate::supernode::SupernodePartition;
 use crate::symfact::StaticStructure;
+use splu_kernels::{gemm_uses_blocked_path, packed_a_len};
 
 /// Whether a U block is fully dense or only a subset of subcolumns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -348,6 +349,74 @@ impl BlockPattern {
         } else {
             dense as f64 / total as f64
         }
+    }
+
+    /// The shape census of the numeric update's segment products.
+    pub fn update_shapes(&self) -> UpdateShapes {
+        let mut c = UpdateShapes::default();
+        for k in 0..self.nblocks() {
+            let wk = self.part.width(k);
+            for l in &self.l_blocks[k] {
+                let len = l.rows.len();
+                let mut packed = false;
+                for u in self.u_blocks[k].iter().filter(|u| !u.cols.is_empty()) {
+                    let nuc = u.cols.len();
+                    let flops = (2 * len * nuc * wk) as u64;
+                    c.products += 1;
+                    c.rows += len as u64;
+                    c.flops += flops;
+                    if gemm_uses_blocked_path(len, nuc, wk) {
+                        packed = true;
+                    } else {
+                        c.small_products += 1;
+                        c.small_flops += flops;
+                    }
+                }
+                if packed {
+                    c.packed_l_elems += packed_a_len(len, wk) as u64;
+                }
+            }
+        }
+        c
+    }
+}
+
+/// Shape census of the update products one sequential factorization
+/// issues (one product per `L` segment per `Update(k, j)`), split at the
+/// blocked-kernel boundary ([`gemm_uses_blocked_path`]) the numeric update
+/// dispatches on ([`BlockPattern::update_shapes`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct UpdateShapes {
+    /// Segment products (`L_ik · U_kj` pairs).
+    pub products: u64,
+    /// Rows summed over all products.
+    pub rows: u64,
+    /// Products below the blocked boundary (stacked axpy kernel).
+    pub small_products: u64,
+    /// Flops of all products (equals `FactorStats::gemm_flops`).
+    pub flops: u64,
+    /// Flops of the products below the blocked boundary.
+    pub small_flops: u64,
+    /// `L` elements packed for the blocked kernel (each segment that some
+    /// blocked product reads is packed once per stage, padded to whole
+    /// micro-panels).
+    pub packed_l_elems: u64,
+}
+
+impl UpdateShapes {
+    /// Mean rows per product.
+    pub fn mean_rows(&self) -> f64 {
+        self.rows as f64 / self.products.max(1) as f64
+    }
+
+    /// Share of products below the blocked boundary.
+    pub fn small_product_share(&self) -> f64 {
+        self.small_products as f64 / self.products.max(1) as f64
+    }
+
+    /// Share of flops below the blocked boundary.
+    pub fn small_flop_share(&self) -> f64 {
+        self.small_flops as f64 / self.flops.max(1) as f64
     }
 }
 

@@ -912,6 +912,21 @@ fn main() -> ExitCode {
                 "full-block DGEMM share of update flops: {:.1} %",
                 100.0 * solver.pattern.dense_update_fraction()
             );
+            let shapes = solver.pattern.update_shapes();
+            println!(
+                "update products: {} segment products, mean {:.1} rows",
+                shapes.products,
+                shapes.mean_rows()
+            );
+            println!(
+                "below the blocked-kernel boundary: {:.1} % of products, {:.1} % of flops",
+                100.0 * shapes.small_product_share(),
+                100.0 * shapes.small_flop_share()
+            );
+            println!(
+                "packed L per factorization: {} elements",
+                shapes.packed_l_elems
+            );
             ExitCode::SUCCESS
         }
         "factor" => {

@@ -1,5 +1,6 @@
 //! The `splu` binary resolves a built-in suite-matrix name wherever it
-//! takes a matrix, and rejects an unknown name with a message.
+//! takes a matrix, and rejects an unknown name with a message; `info`
+//! reports the update-shape census.
 
 use std::process::{Command, Output};
 
@@ -24,6 +25,32 @@ fn assert_success(args: &[&str]) -> String {
 fn info_accepts_a_suite_name() {
     let stdout = assert_success(&["info", "sherman5"]);
     assert!(stdout.contains("static factor entries"), "{stdout}");
+}
+
+#[test]
+fn info_prints_the_update_shape_census() {
+    let stdout = assert_success(&["info", "sherman5"]);
+    let line = |key: &str| {
+        stdout
+            .lines()
+            .find(|l| l.starts_with(key))
+            .unwrap_or_else(|| panic!("no `{key}` line in {stdout}"))
+            .to_string()
+    };
+    let products = line("update products:");
+    assert!(products.contains("segment products, mean"), "{products}");
+    let small = line("below the blocked-kernel boundary:");
+    assert!(
+        small.contains("% of products") && small.contains("% of flops"),
+        "{small}"
+    );
+    let packed = line("packed L per factorization:");
+    let elems: u64 = packed
+        .split_whitespace()
+        .nth(4)
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("{packed}"));
+    assert!(elems > 0, "{packed}");
 }
 
 #[test]
