@@ -19,7 +19,7 @@
 //! file is well-formed and every rate is positive.
 
 use splu_core::par1d::{factor_par1d, Strategy1d};
-use splu_core::par2d::{factor_par2d_with, Par2dOptions, Sched2d, DEFAULT_LOOKAHEAD};
+use splu_core::par2d::{factor_par2d_with, Par2dOptions, DEFAULT_LOOKAHEAD};
 use splu_core::seq::factor_sequential_with;
 use splu_core::{BlockMatrix, FactorOptions, FactorScratch, FactorStats, SparseLuSolver};
 use splu_machine::Grid;
@@ -258,7 +258,7 @@ pub fn bench_matrix(name: &'static str, min_secs: f64, lookahead: usize) -> Matr
     run_1d();
     let (par1d, _) = best_rate(min_secs, run_1d);
     let stages = |window: usize| Par2dOptions {
-        sched: Sched2d::Stages { window },
+        window,
         ..Par2dOptions::default()
     };
     let run_2d = |w: usize| {

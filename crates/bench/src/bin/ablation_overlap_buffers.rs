@@ -1,5 +1,6 @@
 //! Ablation — Theorem 2 overlap degrees and §5.2 buffer space, measured
-//! on the *thread* backend (the real asynchronous 2D execution).
+//! on the *thread* backend (the real asynchronous 2D execution) with the
+//! in-order schedule (lookahead window `W = 0`) the theorem is about.
 //!
 //! * overlap degree across all processors must stay ≤ `p_c`;
 //! * overlap degree within a processor column ≤ `min(p_r − 1, p_c)`;
@@ -12,10 +13,20 @@
 //! ```
 
 use splu_bench::rule;
-use splu_core::par2d::{factor_par2d, Sync2d};
+use splu_core::par2d::{factor_par2d_with, Par2dOptions, Par2dResult, Sync2d};
 use splu_core::{FactorOptions, SparseLuSolver};
 use splu_machine::Grid;
 use splu_sparse::suite;
+
+/// The 2D factorization at `W = 0` under `mode`.
+fn factor_in_order(solver: &SparseLuSolver, grid: Grid, mode: Sync2d) -> Par2dResult {
+    let opts = Par2dOptions {
+        mode,
+        window: 0,
+        ..Par2dOptions::default()
+    };
+    factor_par2d_with(&solver.permuted, solver.pattern.clone(), grid, &opts).expect("par2d")
+}
 
 fn main() {
     println!("Ablation: Theorem 2 overlap degrees + buffer space (thread backend)\n");
@@ -31,12 +42,7 @@ fn main() {
         let solver = SparseLuSolver::analyze(&a, FactorOptions::default());
         for (pr, pc) in [(2usize, 2usize), (2, 4), (3, 3)] {
             let grid = Grid::new(pr, pc);
-            let r = factor_par2d(
-                &solver.permuted,
-                solver.pattern.clone(),
-                grid,
-                Sync2d::Async,
-            );
+            let r = factor_in_order(&solver, grid, Sync2d::Async);
             let overlap = r.overlap_degree();
             let in_col = (0..pc as u32)
                 .map(|c| r.overlap_degree_within_col(c))
@@ -67,12 +73,7 @@ fn main() {
     let spec = suite::by_name("sherman5").unwrap();
     let a = spec.build_scaled(0.5);
     let solver = SparseLuSolver::analyze(&a, FactorOptions::default());
-    let r = factor_par2d(
-        &solver.permuted,
-        solver.pattern.clone(),
-        Grid::new(2, 2),
-        Sync2d::Barrier,
-    );
+    let r = factor_in_order(&solver, Grid::new(2, 2), Sync2d::Barrier);
     println!(
         "\nbarrier variant stage overlap: {} (must be 0)",
         r.overlap_degree()

@@ -5,10 +5,11 @@
 //! the `p_r` processors of one grid column (distributed pivot search with
 //! subrow exchange), and a single update stage over all processors.
 //!
-//! Execution is a **critical-path lookahead executor**: every rank of a
-//! grid column replays the deterministic operation list built by
-//! [`splu_sched::lookahead_schedule`] — the paper's Fig. 10/11 priority
-//! policy on the real thread machine. With window `W`, stage `k`'s
+//! This is the one 2D engine: a **stage-pipelined lookahead executor**.
+//! Every rank of a grid column replays the deterministic operation list
+//! built by [`splu_sched::lookahead_schedule`] — the paper's Fig. 10/11
+//! priority policy on the real thread machine. With window `W`
+//! ([`Par2dOptions::window`], default [`DEFAULT_LOOKAHEAD`]), stage `k`'s
 //! updates into the next pivot block column run first, `Factor(k+1)` and
 //! its row/column multicasts issue immediately, and up to `W` stages of
 //! trailing updates drain *behind* the factor frontier. `W = 0`
@@ -36,10 +37,8 @@ use crate::storage::BlockMatrix;
 use crate::update::{self, LSource, UpdateDest, UpdateTask};
 use splu_kernels::dtrsm_left_lower_unit;
 use splu_machine::{run_machine, Grid, Message, ProcCtx, RunOptions};
-use splu_sched::{
-    lookahead_schedule, plan_taskdag, taskdag_schedule, Op2d, TaskDagPlan, TaskGraph,
-};
-use splu_symbolic::{block_etree, BlockPattern};
+use splu_sched::{lookahead_schedule, Op2d, TaskGraph};
+use splu_symbolic::BlockPattern;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -48,26 +47,6 @@ use std::sync::Arc;
 /// factorization ahead of the drain frontier (Fig. 10's compute-ahead
 /// depth). `0` is the in-order ablation baseline.
 pub const DEFAULT_LOOKAHEAD: usize = 1;
-
-/// Which deterministic operation schedule drives the 2D executor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Sched2d {
-    /// The stage-pipelined lookahead schedule
-    /// ([`splu_sched::lookahead_schedule`]) under an all-cyclic block
-    /// mapping — the paper's Fig. 12–15 protocol with window `W`.
-    Stages {
-        /// Lookahead window `W` (`0` = strict in-order schedule).
-        window: usize,
-    },
-    /// The elimination-tree task-DAG schedule
-    /// ([`splu_sched::taskdag_schedule`]): proportional-mapped etree
-    /// subtrees execute fully locally on their owning processor with
-    /// zero messages, while separator panels fall back to the
-    /// block-cyclic batched-multicast protocol. Subtrees go to
-    /// processors by [`splu_sched::plan_taskdag`]'s contiguous
-    /// proportional mapping.
-    TaskDag,
-}
 
 /// Synchronization mode for the 2D code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,27 +194,13 @@ fn tag(kind: u64, k: usize, x: usize, y: usize) -> u64 {
 
 const NONE_ROW: u32 = u32::MAX;
 
-/// Per-processor block storage for the 2D mapping.
-///
-/// Ownership is **plan-aware**: a block `(i, j)` of a proportional-mapped
-/// subtree column `j` lives wholly on the subtree's owning processor
-/// (column-granular ownership — the whole panel column, diagonal, `L`
-/// segments *and* `U` blocks above the diagonal), so subtree stages run
-/// without any communication. Every other (separator) column keeps the
-/// classic 2D block-cyclic map `(i mod p_r, j mod p_c)`. Under the
-/// all-cyclic [`TaskDagPlan::cyclic`] plan this reduces exactly to the
-/// seed's mapping.
+/// Per-processor block storage for the 2D block-cyclic mapping: block
+/// `(i, j)` lives on grid processor `(i mod p_r, j mod p_c)`.
 struct Store2d {
     pattern: Arc<BlockPattern>,
     grid: Grid,
-    rank: usize,
     rno: usize,
     cno: usize,
-    plan: Arc<TaskDagPlan>,
-    /// Per-stage bitmask of processor-grid columns holding separator
-    /// destinations of a subtree stage — the stage-row multicast group
-    /// (all-zero under a cyclic plan).
-    sep_dest_cols: Arc<Vec<u64>>,
     /// Global index → block id (cached; rebuilding it per access is O(n)).
     block_of: Vec<u32>,
     /// Owned blocks: `(i, j) → column-major panel`. Diagonal blocks are
@@ -249,26 +214,20 @@ impl Store2d {
         pattern: Arc<BlockPattern>,
         grid: Grid,
         rank: usize,
-        plan: Arc<TaskDagPlan>,
-        sep_dest_cols: Arc<Vec<u64>>,
     ) -> Self {
         let (rno, cno) = grid.coords_of(rank);
         let block_of = pattern.part.block_of_index();
         let mut st = Self {
             pattern,
             grid,
-            rank,
             rno,
             cno,
-            plan,
-            sep_dest_cols,
             block_of,
             blocks: HashMap::new(),
         };
         let nb = st.pattern.nblocks();
-        // allocate owned blocks (plan-aware: subtree columns are owned
-        // whole; separator columns block-cyclically). A local Arc handle
-        // keeps the pattern borrow off `st` while `blocks` is mutated.
+        // allocate owned blocks. A local Arc handle keeps the pattern
+        // borrow off `st` while `blocks` is mutated.
         let pattern = st.pattern.clone();
         for j in 0..nb {
             if st.owns_block(j, j) {
@@ -303,31 +262,16 @@ impl Store2d {
         st
     }
 
-    /// Whether this processor owns block `(i, j)`: the subtree owner for
-    /// a subtree column, the cyclic `(i mod p_r, j mod p_c)` processor
-    /// otherwise.
+    /// Whether this processor owns block `(i, j)`.
     fn owns_block(&self, i: usize, j: usize) -> bool {
-        if self.plan.is_subtree(j) {
-            self.plan.col_owner[j] as usize == self.rank
-        } else {
-            i % self.grid.pr == self.rno && j % self.grid.pc == self.cno
-        }
+        i % self.grid.pr == self.rno && j % self.grid.pc == self.cno
     }
 
-    /// Whether this processor holds column `k`'s panel (diagonal + `L`
-    /// segments) locally: the subtree owner, or any rank of the factoring
-    /// grid column under the cyclic map.
+    /// Whether this processor holds (its share of) column `k`'s panel —
+    /// diagonal + `L` segments — locally, i.e. sits in the factoring grid
+    /// column.
     fn owns_col_panel(&self, k: usize) -> bool {
-        if self.plan.is_subtree(k) {
-            self.plan.col_owner[k] as usize == self.rank
-        } else {
-            k % self.grid.pc == self.cno
-        }
-    }
-
-    /// The processor-grid column that executes column `j`'s operations.
-    fn grid_col(&self, j: usize) -> usize {
-        self.plan.grid_col(j, self.grid.pc)
+        k % self.grid.pc == self.cno
     }
 
     fn lo(&self, b: usize) -> usize {
@@ -570,9 +514,9 @@ pub struct Par2dOptions<'a> {
     /// Pivot threshold (`1.0` is classic partial pivoting; see
     /// [`crate::seq::factor_sequential_with`]).
     pub threshold: f64,
-    /// Execution engine: the stage-pipelined lookahead schedule with its
-    /// window, or the elimination-tree task DAG.
-    pub sched: Sched2d,
+    /// Lookahead window `W` (`0` = the strict in-order schedule of
+    /// Fig. 12 and Theorem 2).
+    pub window: usize,
 }
 
 impl Default for Par2dOptions<'_> {
@@ -581,15 +525,14 @@ impl Default for Par2dOptions<'_> {
             run: RunOptions::default(),
             mode: Sync2d::Async,
             threshold: 1.0,
-            sched: Sched2d::TaskDag,
+            window: DEFAULT_LOOKAHEAD,
         }
     }
 }
 
 /// Factor `a` (already preprocessed) on a `grid` of thread-processors
-/// with classic partial pivoting under the default **task-DAG** engine:
-/// elimination-tree subtrees run fully locally on their proportional
-/// owners; separator panels use the batched-multicast cyclic protocol.
+/// with classic partial pivoting and the default lookahead window
+/// [`DEFAULT_LOOKAHEAD`].
 ///
 /// # Panics
 /// On a numerically singular input, with the [`SolverError`] as the
@@ -635,45 +578,12 @@ fn factor2d_grid(
     // column's p_r ranks (identical replay is what keeps the intra-column
     // blocking exchanges deadlock-free).
     let graph = TaskGraph::build(&pattern);
-    let (plan, schedules, sep_dest_cols, stage_slots) = match opts.sched {
-        Sched2d::Stages { window } => {
-            let plan = Arc::new(TaskDagPlan::cyclic(nb, grid.nprocs()));
-            let schedules: Vec<Arc<Vec<Op2d>>> = (0..grid.pc)
-                .map(|c| Arc::new(lookahead_schedule(&graph, grid.pc, c, window)))
-                .collect();
-            // At most `W + 1` stages ever have live TRSM work, so `W + 1`
-            // staging slots are collision-free (capped by the stage count
-            // for absurd `W`)
-            let slots = window.min(nb.saturating_sub(1)) + 1;
-            (plan, schedules, Arc::new(vec![0u64; nb]), slots)
-        }
-        Sched2d::TaskDag => {
-            let parent = block_etree(&pattern);
-            let plan = Arc::new(plan_taskdag(&graph, &parent, grid.nprocs()));
-            assert!(
-                grid.pc <= 64,
-                "subtree multicast masks hold at most 64 grid columns"
-            );
-            // stage-row multicast groups of subtree stages: the grid
-            // columns holding their separator destinations
-            let mut mask = vec![0u64; nb];
-            for (t, task) in graph.tasks.iter().enumerate() {
-                if let splu_sched::TaskKind::Update(k, j) = *task {
-                    let (k, j) = (k as usize, j as usize);
-                    debug_assert_eq!(graph.owner_block[t] as usize, j);
-                    if plan.is_subtree(k) && !plan.is_subtree(j) {
-                        mask[k] |= 1 << (j % grid.pc);
-                    }
-                }
-            }
-            let schedules: Vec<Arc<Vec<Op2d>>> = (0..grid.pc)
-                .map(|c| Arc::new(taskdag_schedule(&graph, &plan, grid.pc, c)))
-                .collect();
-            // the destination-driven schedule interleaves stages freely,
-            // so give every stage its own collision-free staging slot
-            (plan, schedules, Arc::new(mask), nb.max(1))
-        }
-    };
+    let schedules: Vec<Vec<Op2d>> = (0..grid.pc)
+        .map(|c| lookahead_schedule(&graph, grid.pc, c, opts.window))
+        .collect();
+    // At most `W + 1` stages ever have live TRSM work, so `W + 1` staging
+    // slots are collision-free (capped by the stage count for absurd `W`)
+    let stage_slots = opts.window.min(nb.saturating_sub(1)) + 1;
 
     let t0 = std::time::Instant::now();
     type RankOut = (
@@ -685,15 +595,8 @@ fn factor2d_grid(
         (u64, u64),
     );
     let spmd = |mut ctx: ProcCtx| {
-        let mut st = Store2d::new(
-            a,
-            pattern.clone(),
-            grid,
-            ctx.rank,
-            plan.clone(),
-            sep_dest_cols.clone(),
-        );
-        let (_rno, cno) = (st.rno, st.cno);
+        let mut st = Store2d::new(a, pattern.clone(), grid, ctx.rank);
+        let cno = st.cno;
         let mut stats = FactorStats::default();
         let mut pivseqs: Vec<Option<Arc<Vec<u32>>>> = vec![None; nb];
         let mut intervals: Vec<UpdateInterval> = Vec::new();
@@ -712,33 +615,6 @@ fn factor2d_grid(
 
         // ---- the schedule executor: replay this grid column's op list ----
         scratch.ensure_stage_slots(stage_slots);
-        // a subtree column's operations sit in its owner's grid-column
-        // list but execute on the owner alone; the column's other ranks
-        // skip them (separator columns involve every rank as before)
-        let my_rank = ctx.rank;
-        let plan_ref = st.plan.clone();
-        let participates =
-            move |j: usize| !plan_ref.is_subtree(j) || plan_ref.col_owner[j] as usize == my_rank;
-        // steal-aware idle accounting: once the last of this rank's
-        // subtree-local tasks retires, its blocked receives are steal
-        // idle — time it would spend stealing if any subtree had work
-        // left — and the runtime attributes them separately
-        let my_subtree_tasks: u64 = match opts.sched {
-            Sched2d::TaskDag => graph
-                .tasks
-                .iter()
-                .map(|t| match *t {
-                    splu_sched::TaskKind::Factor(k) => k as usize,
-                    splu_sched::TaskKind::Update(_, j) => j as usize,
-                })
-                .filter(|&b| plan.is_subtree(b) && plan.col_owner[b] as usize == my_rank)
-                .count() as u64,
-            // the stage engine has no subtree phase: never flips
-            Sched2d::Stages { .. } => u64::MAX,
-        };
-        if my_subtree_tasks == 0 {
-            ctx.set_steal_phase(true);
-        }
         // defense-in-depth next-expected-stage counters: column `j` must
         // absorb its update sources in ascending stage order for the
         // factors to be bitwise identical to the sequential driver
@@ -752,10 +628,6 @@ fn factor2d_grid(
             match ops[i] {
                 Op2d::Factor { k, nsrcs } => {
                     let k = k as usize;
-                    if !participates(k) {
-                        i += 1;
-                        continue;
-                    }
                     debug_assert_eq!(applied[k], nsrcs, "Factor({k}) before its sources");
                     let piv = factor2d(
                         &mut ctx,
@@ -766,38 +638,21 @@ fn factor2d_grid(
                         &mut scratch,
                     );
                     pivseqs[k] = Some(Arc::new(piv));
-                    if stats.subtree_local_tasks >= my_subtree_tasks {
-                        ctx.set_steal_phase(true);
-                    }
                 }
                 Op2d::Swap { k, .. } => {
                     // coalesce the maximal run of stage-`k` swaps (the
                     // schedule emits a draining stage's swaps
                     // back-to-back) into one batched exchange. Every rank
-                    // of the grid column derives the identical run before
-                    // the participation check, so batch ids agree.
+                    // of the grid column derives the identical run, so
+                    // batch ids agree.
                     swap_js.clear();
                     while let Some(Op2d::Swap { k: k2, j, seq }) = ops.get(i).copied() {
                         if k2 != k {
                             break;
                         }
-                        if participates(j as usize) {
-                            debug_assert_eq!(
-                                applied[j as usize], seq,
-                                "Swap({k},{j}) out of order"
-                            );
-                        }
+                        debug_assert_eq!(applied[j as usize], seq, "Swap({k},{j}) out of order");
                         swap_js.push(j as usize);
                         i += 1;
-                    }
-                    // a run never mixes subtree and separator destinations
-                    // (task-DAG runs are single-destination; stage runs are
-                    // all-cyclic), so participation is per-run
-                    debug_assert!(swap_js
-                        .iter()
-                        .all(|&j| participates(j) == participates(swap_js[0])));
-                    if !participates(swap_js[0]) {
-                        continue;
                     }
                     let k = k as usize;
                     ensure_stage_row(&mut ctx, &st, &mut caches, &mut pivseqs, k, false);
@@ -817,12 +672,6 @@ fn factor2d_grid(
                         }
                         trsm_js.push(j as usize);
                         i += 1;
-                    }
-                    debug_assert!(trsm_js
-                        .iter()
-                        .all(|&j| participates(j) == participates(trsm_js[0])));
-                    if !participates(trsm_js[0]) {
-                        continue;
                     }
                     trsm_columns(
                         &mut ctx,
@@ -844,10 +693,6 @@ fn factor2d_grid(
                     depth,
                 } => {
                     let (k, j) = (k as usize, j as usize);
-                    if !participates(j) {
-                        i += 1;
-                        continue;
-                    }
                     debug_assert_eq!(applied[j], seq, "Update({k},{j}) out of stage order");
                     max_depth = max_depth.max(depth);
                     update2d(
@@ -864,20 +709,13 @@ fn factor2d_grid(
                         &mut intervals,
                     );
                     applied[j] += 1;
-                    if stats.subtree_local_tasks >= my_subtree_tasks {
-                        ctx.set_steal_phase(true);
-                    }
                 }
                 Op2d::Retire { k } => {
                     let k = k as usize;
                     // a rank with no stage-k swaps still received the
                     // stage-row multicast: consume it here so the
-                    // pending map drains stage by stage. Under the
-                    // task-DAG plan only the stage's multicast group
-                    // receives one (subtree stages message no one else).
-                    if expects_stage_row(&st, &pivseqs, k) {
-                        ensure_stage_row(&mut ctx, &st, &mut caches, &mut pivseqs, k, false);
-                    }
+                    // pending map drains stage by stage
+                    ensure_stage_row(&mut ctx, &st, &mut caches, &mut pivseqs, k, false);
                     // stage k's last consumer has run on this rank: drop
                     // its cached panels so resident bytes never span more
                     // than the in-flight window
@@ -1002,30 +840,17 @@ fn factor2d(
 ) -> Vec<u32> {
     let grid = st.grid;
     let (rno, cno) = (st.rno, st.cno);
-    // a subtree stage factors entirely on its owner — every candidate row
-    // of the panel column is local, so the search degenerates to the
-    // sequential one (bitwise-identical tie-breaks included) and the only
-    // communication is the optional stage-row multicast to the grid
-    // columns holding separator destinations
-    let local = st.plan.is_subtree(k);
-    debug_assert!(if local {
-        st.plan.col_owner[k] as usize == ctx.rank
-    } else {
-        cno == k % grid.pc
-    });
+    debug_assert_eq!(cno, k % grid.pc);
     let span_start = ctx.probe().now();
+    let diag_rno = k % grid.pr;
+    let i_am_diag = rno == diag_rno;
     // statistics are counted once per task, on the diagonal owner, so the
     // merged numbers match the sequential code
-    if local || rno == k % grid.pr {
+    if i_am_diag {
         stats.factor_tasks += 1;
-    }
-    if local {
-        stats.subtree_local_tasks += 1;
     }
     let w = st.width(k);
     let lo = st.lo(k);
-    let diag_rno = k % grid.pr;
-    let i_am_diag = local || rno == diag_rno;
     let mut piv_seq: Vec<u32> = Vec::with_capacity(w);
     let mut searched_rows: u64 = 0;
 
@@ -1038,7 +863,7 @@ fn factor2d(
         my_lblocks.extend(
             st.pattern.l_blocks[k]
                 .iter()
-                .filter(|l| local || (l.i as usize) % grid.pr == rno)
+                .filter(|l| (l.i as usize) % grid.pr == rno)
                 .map(|l| l.i),
         );
         if my_lblocks.capacity() > cap0 {
@@ -1087,8 +912,7 @@ fn factor2d(
             let mut best_abs = cand_abs.max(0.0);
             let mut best_diag = cand_diag;
             let mut best_msg: Option<Message> = None;
-            let peers = if local { 0 } else { grid.pr - 1 };
-            for _ in 0..peers {
+            for _ in 1..grid.pr {
                 let m = ctx.recv(tag(K_CAND, k, t, 0));
                 let row = m.ints[0];
                 if row == NONE_ROW {
@@ -1140,18 +964,16 @@ fn factor2d(
             if let Some(m) = best_msg.take() {
                 ctx.recycle(m);
             }
-            if !local {
-                // broadcast pivot decision + both subrows down the column
-                let mut floats = ctx.floats_buf();
-                floats.extend_from_slice(&scratch.rowbuf2);
-                floats.extend_from_slice(&scratch.rowbuf);
-                let mut ints = ctx.ints_buf();
-                ints.push(best_row);
-                ctx.multicast(
-                    grid.my_col(ctx.rank),
-                    Message::new(tag(K_PIVROW, k, t, 0), ints, floats),
-                );
-            }
+            // broadcast pivot decision + both subrows down the column
+            let mut floats = ctx.floats_buf();
+            floats.extend_from_slice(&scratch.rowbuf2);
+            floats.extend_from_slice(&scratch.rowbuf);
+            let mut ints = ctx.ints_buf();
+            ints.push(best_row);
+            ctx.multicast(
+                grid.my_col(ctx.rank),
+                Message::new(tag(K_PIVROW, k, t, 0), ints, floats),
+            );
             best_row as usize
         } else {
             // ship local candidate subrow to the diag owner
@@ -1233,37 +1055,22 @@ fn factor2d(
 
     // ---- ONE row multicast per stage: pivot sequence + diagonal +
     // every owned L block, concatenated. The receivers (same block
-    // rows, other grid columns; for a subtree stage, the grid columns
-    // of its separator destinations) recover the layout from the shared
+    // rows, other grid columns) recover the layout from the shared
     // pattern, so no per-segment messages — and no per-segment
     // message-passing overhead — are needed (`ensure_stage_row`).
-    let bcast_mask = if local { st.sep_dest_cols[k] } else { 0 };
-    if !local || bcast_mask != 0 {
-        let mut ints = ctx.ints_buf();
-        ints.extend_from_slice(&piv_seq);
-        let mut p = ctx.floats_buf();
-        if i_am_diag {
-            p.extend_from_slice(&st.blocks[&(k as u32, k as u32)]);
-        }
-        for &i in &my_lblocks {
-            p.extend_from_slice(&st.blocks[&(i, k as u32)]);
-        }
-        let msg = Message::new(tag(K_LPANEL, k, 0, 0), ints, p);
-        if local {
-            // an interior subtree stage sends nothing at all; a border
-            // stage multicasts once to every rank of the separator
-            // destinations' grid columns
-            let me = ctx.rank;
-            let dests: Vec<usize> = (0..grid.pc)
-                .filter(|&c| (bcast_mask >> c) & 1 == 1)
-                .flat_map(|c| (0..grid.pr).map(move |r| grid.rank_of(r, c)))
-                .filter(|&r| r != me)
-                .collect();
-            ctx.multicast(dests, msg);
-        } else {
-            ctx.multicast(grid.my_row(ctx.rank), msg);
-        }
+    let mut ints = ctx.ints_buf();
+    ints.extend_from_slice(&piv_seq);
+    let mut p = ctx.floats_buf();
+    if i_am_diag {
+        p.extend_from_slice(&st.blocks[&(k as u32, k as u32)]);
     }
+    for &i in &my_lblocks {
+        p.extend_from_slice(&st.blocks[&(i, k as u32)]);
+    }
+    ctx.multicast(
+        grid.my_row(ctx.rank),
+        Message::new(tag(K_LPANEL, k, 0, 0), ints, p),
+    );
     scratch.idx = my_lblocks;
     ctx.probe().count("pivot_search_rows", searched_rows);
     ctx.probe().span_at("panel-factor", k as u32, span_start);
@@ -1307,55 +1114,24 @@ fn ensure_stage_row(
     let grid = st.grid;
     let wk = st.width(k);
     let mut off = 0usize;
-    if st.plan.is_subtree(k) {
-        // a subtree stage's owner held the whole panel column, so its one
-        // multicast carries the diagonal plus EVERY `L` segment
+    // the sender shares this rank's grid row, so the payload holds
+    // exactly this row's diagonal / `L` segments
+    if st.rno == k % grid.pr {
         caches.lpanels.insert((k, k), (fl.clone(), off, wk * wk));
         off += wk * wk;
-        for l in &st.pattern.l_blocks[k] {
+    }
+    for l in &st.pattern.l_blocks[k] {
+        if (l.i as usize) % grid.pr == st.rno {
             let len = l.rows.len() * wk;
             caches
                 .lpanels
                 .insert((k, l.i as usize), (fl.clone(), off, len));
             off += len;
         }
-    } else {
-        // cyclic stage: the sender shares this rank's grid row, so the
-        // payload holds exactly this row's diagonal / `L` segments
-        if st.rno == k % grid.pr {
-            caches.lpanels.insert((k, k), (fl.clone(), off, wk * wk));
-            off += wk * wk;
-        }
-        for l in &st.pattern.l_blocks[k] {
-            if (l.i as usize) % grid.pr == st.rno {
-                let len = l.rows.len() * wk;
-                caches
-                    .lpanels
-                    .insert((k, l.i as usize), (fl.clone(), off, len));
-                off += len;
-            }
-        }
     }
     debug_assert_eq!(off, fl.len(), "stage-row payload layout mismatch");
     ctx.recycle(m);
     blocked
-}
-
-/// Whether this rank receives (or already produced) stage `k`'s row
-/// multicast. Cyclic stages reach every rank: the factoring grid column
-/// produces locally and every other column receives one message per grid
-/// row. A subtree stage's owner multicasts only to the grid columns of
-/// its separator destinations (none at all for an interior subtree
-/// stage), so every other rank must not block waiting for one.
-fn expects_stage_row(st: &Store2d, pivseqs: &[Option<Arc<Vec<u32>>>], k: usize) -> bool {
-    if pivseqs[k].is_some() {
-        return true; // produced locally — ensure_stage_row is a no-op
-    }
-    if st.plan.is_subtree(k) {
-        (st.sep_dest_cols[k] >> st.cno) & 1 == 1
-    } else {
-        true
-    }
 }
 
 /// Stage-`k` delayed row interchanges across a batch of owned column
@@ -1378,7 +1154,7 @@ fn swap_columns(
 ) {
     let grid = st.grid;
     let cno = st.cno;
-    debug_assert!(js.iter().all(|&j| st.grid_col(j) == cno));
+    debug_assert!(js.iter().all(|&j| j % grid.pc == cno));
     let lo = st.lo(k);
     let swap_start = ctx.probe().now();
     // the batch's first column disambiguates the message tag: a column
@@ -1393,8 +1169,8 @@ fn swap_columns(
         }
         let ib_m = k; // row m lives in row block k
         let ib_r = st.block_of[pg] as usize;
-        // block ownership is uniform across the batch: a run never mixes
-        // subtree and separator destination columns
+        // block ownership is uniform across the batch: every column sits
+        // in this grid column
         let own_m = st.owns_block(ib_m, js[0]);
         let own_r = st.owns_block(ib_r, js[0]);
         if own_m && own_r {
@@ -1507,8 +1283,7 @@ fn trsm_columns(
     let grid = st.grid;
     let w = st.width(k);
     let batch_id = js[0];
-    // ownership of `(k, j)` is uniform across the batch (runs never mix
-    // subtree and separator destinations)
+    // ownership of `(k, j)` is uniform across the batch
     if !st.owns_block(k, js[0]) {
         let mut off = 0usize;
         for &j in js {
@@ -1530,28 +1305,17 @@ fn trsm_columns(
         let (fl, off, len) = (fl.clone(), *off, *len);
         scratch.stage_panel(k, w * w, |buf| buf.extend_from_slice(&fl[off..off + len]))
     };
-    // a subtree destination's updates all run on this owner: the TRSM'd
-    // row block stays local and no column multicast is sent
-    let publish = !st.plan.is_subtree(js[0]);
-    let mut fl = if publish {
-        ctx.floats_buf()
-    } else {
-        Vec::new()
-    };
+    let mut fl = ctx.floats_buf();
     for &j in js {
         let ncols = st.u_cols(k, j).len();
         let p = st.blocks.get_mut(&(k as u32, j as u32)).unwrap();
         dtrsm_left_lower_unit(w, ncols, lkk, w, p, w);
         stats.other_flops += (w * w * ncols) as u64;
-        if publish {
-            fl.extend_from_slice(p);
-        }
+        fl.extend_from_slice(p);
     }
-    if publish {
-        let ints = ctx.ints_buf();
-        let msg = Message::new(tag(K_UROW, k, batch_id, 0), ints, fl);
-        ctx.multicast(grid.my_col(ctx.rank), msg);
-    }
+    let ints = ctx.ints_buf();
+    let msg = Message::new(tag(K_UROW, k, batch_id, 0), ints, fl);
+    ctx.multicast(grid.my_col(ctx.rank), msg);
     ctx.probe().span_at("scale-swap", k as u32, span_start);
 }
 
@@ -1605,30 +1369,20 @@ fn update2d(
 ) {
     let grid = st.grid;
     let (rno, cno) = (st.rno, st.cno);
-    debug_assert_eq!(cno, st.grid_col(j));
-    let sub_j = st.plan.is_subtree(j);
+    debug_assert_eq!(cno, j % grid.pc);
     // counted once per task, on the owner of `U_kj` (every rank of the
     // destination's grid column runs its share), so the merged numbers
     // match the sequential code
-    if sub_j || st.owns_block(k, j) {
+    if st.owns_block(k, j) {
         stats.update_tasks += 1;
     }
-    // a subtree destination's update runs wholly on the subtree owner —
-    // and, when the source stage is from the same subtree (always true:
-    // updates into a subtree column never cross subtrees), without any
-    // messages at all
-    if sub_j {
-        stats.subtree_local_tasks += 1;
-    }
 
-    // my destination row blocks: L rows of column k in row blocks ≡ rno
-    // (every row block, for a subtree destination — this rank owns the
-    // whole panel column). The segment metadata is borrowed straight from
-    // the shared pattern (via a local Arc handle), so no per-task copies
-    // are made; `li` is the segment's position in `l_blocks[k]`, the
-    // scatter-map key.
+    // my destination row blocks: L rows of column k in row blocks ≡ rno.
+    // The segment metadata is borrowed straight from the shared pattern
+    // (via a local Arc handle), so no per-task copies are made; `li` is
+    // the segment's position in `l_blocks[k]`, the scatter-map key.
     let pattern = st.pattern.clone();
-    let mine = |li: usize| sub_j || pattern.l_blocks[k][li].i as usize % grid.pr == rno;
+    let mine = |li: usize| pattern.l_blocks[k][li].i as usize % grid.pr == rno;
     if !(0..pattern.l_blocks[k].len()).any(mine) {
         let start = clock.fetch_add(1, Ordering::Relaxed);
         let end = clock.fetch_add(1, Ordering::Relaxed);
@@ -1765,7 +1519,7 @@ mod tests {
     ) -> Par2dResult {
         let opts = Par2dOptions {
             mode,
-            sched: Sched2d::Stages { window },
+            window,
             ..Par2dOptions::default()
         };
         factor_par2d_with(a, pattern, grid, &opts).unwrap()
@@ -1909,50 +1663,14 @@ mod tests {
         let mut seq = BlockMatrix::from_csc(&a, pattern.clone());
         let (_, seq_stats) = factor_sequential(&mut seq).unwrap();
         for (pr, pc) in [(1, 2), (2, 2), (3, 2)] {
-            for sched in [Sched2d::Stages { window: 1 }, Sched2d::TaskDag] {
-                let opts = Par2dOptions {
-                    sched,
-                    ..Par2dOptions::default()
-                };
-                let par = factor_par2d_with(&a, pattern.clone(), Grid::new(pr, pc), &opts).unwrap();
-                let label = format!("{pr}x{pc} {sched:?}");
-                assert_eq!(par.stats.factor_tasks, seq_stats.factor_tasks, "{label}");
-                assert_eq!(par.stats.update_tasks, seq_stats.update_tasks, "{label}");
-                assert_eq!(
-                    par.stats.row_interchanges, seq_stats.row_interchanges,
-                    "{label}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn plan_predicts_subtree_local_task_count() {
-        // `splu analyze` reports the subtree-local share from the plan
-        // alone; the task-DAG run must execute exactly that many tasks
-        // owner-locally
-        for name in ["sherman5", "orsreg1", "saylr4"] {
-            let a = splu_sparse::suite::by_name(name)
-                .unwrap()
-                .build_scaled(0.25);
-            let solver = crate::SparseLuSolver::analyze(&a, crate::FactorOptions::default());
-            let graph = TaskGraph::build(&solver.pattern);
-            let parent = block_etree(&solver.pattern);
-            for (pr, pc) in [(1, 2), (2, 2), (3, 2)] {
-                let grid = Grid::new(pr, pc);
-                let plan = plan_taskdag(&graph, &parent, grid.nprocs());
-                let par = factor_par2d(
-                    &solver.permuted,
-                    solver.pattern.clone(),
-                    grid,
-                    Sync2d::Async,
-                );
-                assert_eq!(
-                    par.stats.subtree_local_tasks,
-                    plan.subtree_task_count(&graph),
-                    "{name} {pr}x{pc}"
-                );
-            }
+            let par = factor_par2d(&a, pattern.clone(), Grid::new(pr, pc), Sync2d::Async);
+            let label = format!("{pr}x{pc}");
+            assert_eq!(par.stats.factor_tasks, seq_stats.factor_tasks, "{label}");
+            assert_eq!(par.stats.update_tasks, seq_stats.update_tasks, "{label}");
+            assert_eq!(
+                par.stats.row_interchanges, seq_stats.row_interchanges,
+                "{label}"
+            );
         }
     }
 

@@ -75,9 +75,9 @@ pub struct FactorStats {
     /// 2D update tasks deferred behind at least one later panel
     /// factorization by the lookahead window (zero at `W = 0`).
     pub deferred_updates: u64,
-    /// Tasks (`Factor` + `Update`) executed entirely inside a
-    /// proportional-mapped elimination-tree subtree by its owning
-    /// processor — zero messages (task-DAG schedule only).
+    /// Always 0: no driver runs subtree-local tasks since the task-DAG
+    /// 2D executor was removed. Kept only so existing readers of this
+    /// field still compile; slated for removal.
     pub subtree_local_tasks: u64,
 }
 
@@ -102,7 +102,6 @@ impl FactorStats {
         self.panel_wait_secs += other.panel_wait_secs;
         self.lookahead_hits += other.lookahead_hits;
         self.deferred_updates += other.deferred_updates;
-        self.subtree_local_tasks += other.subtree_local_tasks;
     }
 
     /// Emit the update-stage telemetry counters into `probe` (called once
@@ -113,7 +112,6 @@ impl FactorStats {
         probe.count("scatter_map_reuse_hits", self.scatter_map_reuse_hits);
         probe.count("lookahead_hits", self.lookahead_hits);
         probe.count("deferred_updates", self.deferred_updates);
-        probe.count("subtree_local_tasks", self.subtree_local_tasks);
     }
 
     /// Fraction of update flops performed by DGEMM (the paper's `r`).

@@ -6,7 +6,7 @@
 //! processor grid fails the test instead of stalling the suite.
 
 use splu_core::par1d::{factor_par1d_with, Par1dOptions, Strategy1d};
-use splu_core::par2d::{factor_par2d_with, Par2dOptions, Sched2d, Sync2d};
+use splu_core::par2d::{factor_par2d_with, Par2dOptions, Sync2d};
 use splu_core::seq::factor_sequential;
 use splu_core::{BlockMatrix, FactorOptions, SolverError, SparseLuSolver};
 use splu_machine::{Grid, T3D};
@@ -65,11 +65,11 @@ fn par1d(strategy: Strategy1d) -> Case {
     })
 }
 
-fn par2d(mode: Sync2d, sched: Sched2d) -> Case {
+fn par2d(mode: Sync2d, window: usize) -> Case {
     Box::new(move |a, pattern| {
         let opts = Par2dOptions {
             mode,
-            sched,
+            window,
             ..Par2dOptions::default()
         };
         factor_par2d_with(a, pattern, Grid::new(2, 2), &opts).map(drop)
@@ -101,12 +101,8 @@ fn every_driver_reports_the_sequential_zero_pivot() {
             ),
         ];
         for mode in [Sync2d::Async, Sync2d::Barrier] {
-            for sched in [
-                Sched2d::Stages { window: 0 },
-                Sched2d::Stages { window: 1 },
-                Sched2d::TaskDag,
-            ] {
-                cases.push((format!("par2d {mode:?} {sched:?}"), par2d(mode, sched)));
+            for w in [0usize, 1] {
+                cases.push((format!("par2d {mode:?} W={w}"), par2d(mode, w)));
             }
         }
         for (name, case) in cases {

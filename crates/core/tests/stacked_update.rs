@@ -11,7 +11,7 @@
 //! the path performs zero heap allocations and zero symbolic merges.
 
 use splu_core::par1d::{factor_par1d, Strategy1d};
-use splu_core::par2d::{factor_par2d, factor_par2d_with, Par2dOptions, Sched2d, Sync2d};
+use splu_core::par2d::{factor_par2d, factor_par2d_with, Par2dOptions, Sync2d};
 use splu_core::seq::factor_sequential;
 use splu_core::{BlockMatrix, FactorOptions, FactorScratch, SparseLuSolver};
 use splu_machine::Grid;
@@ -89,7 +89,7 @@ fn all_drivers_bitwise_identical_across_suite() {
                 for w in [0usize, 1, 2, 4] {
                     let opts = Par2dOptions {
                         mode,
-                        sched: Sched2d::Stages { window: w },
+                        window: w,
                         ..Par2dOptions::default()
                     };
                     let p2 = factor_par2d_with(
@@ -107,34 +107,6 @@ fn all_drivers_bitwise_identical_across_suite() {
                         &format!("{name}/par2d {pr}x{pc} {mode:?} W={w}"),
                     );
                 }
-            }
-        }
-
-        // Task-DAG engine: subtree columns execute entirely on their
-        // owner rank while separator columns fall back to the cyclic
-        // lookahead protocol — the factors must still match sequential
-        // bit-for-bit on every grid and in both synchronization modes.
-        for (pr, pc) in [(2, 2), (3, 2)] {
-            for mode in [Sync2d::Async, Sync2d::Barrier] {
-                let opts = Par2dOptions {
-                    mode,
-                    sched: Sched2d::TaskDag,
-                    ..Par2dOptions::default()
-                };
-                let p2 = factor_par2d_with(
-                    &solver.permuted,
-                    solver.pattern.clone(),
-                    Grid::new(pr, pc),
-                    &opts,
-                )
-                .unwrap();
-                assert_bitwise_equal(
-                    &seq,
-                    &seq_piv,
-                    &p2.blocks,
-                    &p2.pivots,
-                    &format!("{name}/par2d-taskdag {pr}x{pc} {mode:?}"),
-                );
             }
         }
     }

@@ -95,12 +95,6 @@ pub struct ProcCtx {
     metrics: RankMetrics,
     pool_ints: Vec<Vec<u32>>,
     pool_floats: Vec<Vec<f64>>,
-    /// Steal-phase flag: set by a task-DAG executor once this rank has
-    /// drained its proportional-mapped subtree work. Blocked-receive time
-    /// accrued while set is attributed to the steal-idle metric — the
-    /// stretch where the rank would steal if any subtree had work left —
-    /// instead of ordinary pipeline park time.
-    steal_phase: bool,
     /// The run's all-ranks barrier ([`ProcCtx::barrier`]).
     barrier: Arc<RankBarrier>,
     /// Delivery-jitter rng ([`RunOptions::jitter_seed`]); `None` keeps the
@@ -182,7 +176,6 @@ struct RankMetrics {
     send_bytes: Arc<Counter>,
     park_us: Arc<Counter>,
     park_hist: Arc<Histogram>,
-    steal_idle_us: Arc<Counter>,
 }
 
 impl RankMetrics {
@@ -193,9 +186,6 @@ impl RankMetrics {
             send_bytes: g.counter(&format!("splu_machine_send_bytes_total{{rank=\"{rank}\"}}")),
             park_us: g.counter(&format!("splu_machine_park_us_total{{rank=\"{rank}\"}}")),
             park_hist: g.histogram("splu_machine_park_us"),
-            steal_idle_us: g.counter(&format!(
-                "splu_machine_steal_idle_us_total{{rank=\"{rank}\"}}"
-            )),
         }
     }
 }
@@ -216,27 +206,12 @@ impl ProcCtx {
         self.probe.count("unparks", 1);
     }
 
-    /// Enter/leave the steal phase: from here on, time blocked in `recv`
-    /// counts toward `splu_machine_steal_idle_us_total` (and the
-    /// `steal_idle_ns` probe counter) in addition to the ordinary park
-    /// metrics. Task-DAG executors flip this on when the rank's last
-    /// subtree-local task retires and it transitions to separator-only
-    /// (message-driven) work.
-    pub fn set_steal_phase(&mut self, on: bool) {
-        self.steal_phase = on;
-    }
-
     /// Block until every processor of the run has called `barrier` the
     /// same number of times. If a peer fails, this panics (like a
     /// blocked [`ProcCtx::recv`] woken by the poison broadcast) instead
     /// of hanging.
     pub fn barrier(&self) {
         self.barrier.wait(self.nprocs);
-    }
-
-    /// Is this rank currently in the steal phase (out of subtree work)?
-    pub fn steal_phase(&self) -> bool {
-        self.steal_phase
     }
 
     /// Send `msg` to `dest` (never blocks; zero-copy).
@@ -339,10 +314,6 @@ impl ProcCtx {
                 let wait_us = waited.as_micros() as u64;
                 self.metrics.park_us.add(wait_us);
                 self.metrics.park_hist.record(wait_us);
-                if self.steal_phase {
-                    self.metrics.steal_idle_us.add(wait_us);
-                    self.probe.count("steal_idle_ns", waited.as_nanos() as u64);
-                }
                 self.probe.mark("recv-wait", waited.as_nanos() as u64);
                 self.probe.count("recv_wait_ns", waited.as_nanos() as u64);
                 self.probe.mark("recv", m.nbytes());
@@ -534,7 +505,6 @@ where
                 metrics: RankMetrics::for_rank(rank),
                 pool_ints: Vec::new(),
                 pool_floats: Vec::new(),
-                steal_phase: false,
                 barrier: barrier.clone(),
                 // decorrelate the ranks' jitter streams
                 jitter: opts
@@ -622,30 +592,6 @@ mod tests {
         }
         assert_eq!(msgs, n as u64);
         assert_eq!(bytes, 4 * n as u64);
-    }
-
-    #[test]
-    fn steal_phase_attributes_blocked_recv_to_steal_idle() {
-        let before =
-            metrics::global().counter_value("splu_machine_steal_idle_us_total{rank=\"1\"}");
-        run_machine(2, &RunOptions::default(), |mut ctx| {
-            if ctx.rank == 0 {
-                // make rank 1's receive actually block for a measurable
-                // stretch before the message lands
-                std::thread::sleep(std::time::Duration::from_millis(5));
-                ctx.send(1, Message::new(3, vec![], vec![1.0]));
-            } else {
-                assert!(!ctx.steal_phase());
-                ctx.set_steal_phase(true);
-                assert!(ctx.steal_phase());
-                ctx.recv(3);
-            }
-        });
-        let after = metrics::global().counter_value("splu_machine_steal_idle_us_total{rank=\"1\"}");
-        assert!(
-            after > before,
-            "steal-phase blocked recv must accrue steal idle ({before} → {after})"
-        );
     }
 
     #[test]

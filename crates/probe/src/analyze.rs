@@ -395,31 +395,6 @@ impl CommModel {
     }
 }
 
-/// Task-DAG engine attribution: how much of the factorization ran as
-/// zero-message subtree-local work versus on the block-cyclic separator
-/// (read off the task-DAG plan, which fixes both counts before the run).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TaskDagSummary {
-    /// Factor + update tasks whose destination column lives in a
-    /// proportional-mapped subtree (executed owner-locally, no messages).
-    pub subtree_local_tasks: u64,
-    /// All factor + update tasks of the task graph.
-    pub total_tasks: u64,
-    /// Independent subtree tasks of the elimination-tree cut.
-    pub nsubtrees: u64,
-}
-
-impl TaskDagSummary {
-    /// Share of tasks that ran subtree-local (0.0 on an empty run).
-    pub fn subtree_share(&self) -> f64 {
-        if self.total_tasks == 0 {
-            0.0
-        } else {
-            self.subtree_local_tasks as f64 / self.total_tasks as f64
-        }
-    }
-}
-
 /// Run facts the caller supplies alongside the trace for reporting.
 #[derive(Debug, Clone, Default)]
 pub struct ReportExtras {
@@ -437,9 +412,6 @@ pub struct ReportExtras {
     pub executor_depth_p95: Option<u32>,
     /// Cost model for the message-volume comparison (`None` omits it).
     pub model: Option<CommModel>,
-    /// Subtree-vs-separator attribution of a task-DAG run of the same
-    /// matrix (`None` omits the section, e.g. for loaded traces).
-    pub taskdag: Option<TaskDagSummary>,
 }
 
 impl ReportExtras {
@@ -488,17 +460,6 @@ pub fn report_json(a: &Attribution, x: &ReportExtras) -> String {
     if let Some(m) = &x.model {
         let _ = writeln!(out, "  \"model_messages\": {},", m.predicted_messages());
         let _ = writeln!(out, "  \"model_bytes\": {},", m.predicted_bytes());
-    }
-    if let Some(t) = &x.taskdag {
-        let _ = writeln!(
-            out,
-            "  \"taskdag\": {{\"subtree_local_tasks\": {}, \"separator_tasks\": {}, \
-             \"subtree_task_share\": {:.4}, \"nsubtrees\": {}}},",
-            t.subtree_local_tasks,
-            t.total_tasks.saturating_sub(t.subtree_local_tasks),
-            t.subtree_share(),
-            t.nsubtrees,
-        );
     }
     out.push_str("  \"attribution\": {");
     let mut first = true;
@@ -574,16 +535,6 @@ pub fn report_text(a: &Attribution, x: &ReportExtras) -> String {
         None => {
             let _ = writeln!(out, "messages: {}   bytes: {}", a.messages, a.bytes);
         }
-    }
-    if let Some(t) = &x.taskdag {
-        let _ = writeln!(
-            out,
-            "task-DAG: {}/{} tasks subtree-local ({:.1}%) across {} subtrees",
-            t.subtree_local_tasks,
-            t.total_tasks,
-            100.0 * t.subtree_share(),
-            t.nsubtrees,
-        );
     }
     let _ = writeln!(
         out,
@@ -880,11 +831,6 @@ mod tests {
                 pc: 1,
                 stages: 1,
                 factor_entries: 10,
-            }),
-            taskdag: Some(TaskDagSummary {
-                subtree_local_tasks: 3,
-                total_tasks: 4,
-                nsubtrees: 2,
             }),
         };
         let j = report_json(&a, &x);

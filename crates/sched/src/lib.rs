@@ -35,5 +35,5 @@ pub use graph2d::{build_2d_model, Mode2d, Model2d};
 pub use graph_sched::{graph_schedule, graph_schedule_with, MappingPolicy};
 pub use lookahead::{lookahead_schedule, Op2d};
 pub use sim::{simulate, Schedule, SimResult};
-pub use taskdag::{plan_taskdag, taskdag_schedule, taskdag_sim_schedule, TaskDagPlan};
+pub use taskdag::{plan_taskdag, taskdag_sim_schedule, TaskDagPlan};
 pub use taskgraph::{TaskGraph, TaskKind};

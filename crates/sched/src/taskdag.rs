@@ -1,10 +1,11 @@
-//! Elimination-tree task-DAG schedule for the 2D driver.
+//! Elimination-tree task-DAG plan for the discrete-event model.
 //!
-//! The stage-sequential and lookahead schedules ([`crate::lookahead`])
-//! factor block columns in index order, so two columns in *disjoint
-//! elimination subtrees* — with no dependency path between them — still
-//! serialize behind one another. This module generalizes the op-schedule
-//! machinery into a tree-aware plan:
+//! The stage pipeline ([`crate::lookahead`]) factors block columns in
+//! index order, so two columns in *disjoint elimination subtrees* — with
+//! no dependency path between them — still serialize behind one another.
+//! This module builds a tree-aware plan and replays it on the simulator
+//! (the modeled large tier of `bench-lu`); no thread-machine driver
+//! executes it:
 //!
 //! 1. **Cut** ([`plan_taskdag`]): the block elimination tree
 //!    ([`splu_symbolic::block_etree`]) is split by the Geist–Ng
@@ -14,27 +15,12 @@
 //! 2. **Map**: subtrees get a contiguous proportional mapping — the
 //!    frontier, in index order, is cut into `nprocs` runs of roughly equal
 //!    cost.
-//! 3. **Schedule** ([`taskdag_schedule`]): one [`Op2d`] list per grid
-//!    column, emitted *destination-driven* in elimination-tree postorder
-//!    — every column's `Swap → Trsm → Update` chains run in ascending
-//!    source order immediately before its `Factor`, which keeps the
-//!    factors bitwise identical to the in-order schedule (each block
-//!    still absorbs its contributions in sequential stage order) while
-//!    letting disjoint subtrees interleave. A column wholly inside a
-//!    proportional-mapped subtree is owned by a single rank and executes
-//!    with **zero messages**; separator columns stay block-cyclic and
-//!    fall back to the batched-multicast protocol.
-//!
-//! Deadlock freedom: postorder is a linear extension of the dependency
-//! DAG (every `U`/`L` edge points to an etree ancestor, i.e. later in
-//! postorder), all grid columns emit `Retire` in one global order, and
-//! every blocking receive waits only on a message generated strictly
-//! earlier in that order — induction over (stage position, op index)
-//! gives progress. [`taskdag_sim_schedule`] replays the same plan on the
-//! discrete-event simulator, whose deadlock check re-verifies this for
-//! every concrete graph.
+//! 3. **Simulate** ([`taskdag_sim_schedule`]): subtree tasks run on their
+//!    owning rank, separator tasks block-cyclically, in elimination-tree
+//!    postorder — a linear extension of the update DAG, so the
+//!    simulator's deadlock check re-verifies the plan for every concrete
+//!    graph.
 
-use crate::lookahead::Op2d;
 use crate::sim::Schedule;
 use crate::taskgraph::{TaskGraph, TaskKind};
 use splu_symbolic::etree::{postorder, NO_PARENT};
@@ -77,29 +63,6 @@ impl TaskDagPlan {
     /// Is column `j` owned by a single rank (subtree column)?
     pub fn is_subtree(&self, j: usize) -> bool {
         self.col_owner[j] != u32::MAX
-    }
-
-    /// The grid column whose op list carries destination `j`'s work.
-    pub fn grid_col(&self, j: usize, pc: usize) -> usize {
-        match self.col_owner[j] {
-            u32::MAX => j % pc,
-            owner => owner as usize % pc,
-        }
-    }
-
-    /// Number of tasks whose destination is a subtree column (they run
-    /// with zero messages).
-    pub fn subtree_task_count(&self, g: &TaskGraph) -> u64 {
-        g.tasks
-            .iter()
-            .filter(|t| {
-                let j = match **t {
-                    TaskKind::Factor(j) => j,
-                    TaskKind::Update(_, j) => j,
-                } as usize;
-                self.is_subtree(j)
-            })
-            .count() as u64
     }
 }
 
@@ -184,90 +147,6 @@ pub fn plan_taskdag(g: &TaskGraph, parent: &[usize], nprocs: usize) -> TaskDagPl
             ((sub_work as u128 * 1_000_000) / total as u128) as u32
         },
     }
-}
-
-/// Per-destination ascending source lists (`srcs[j]`) and per-source
-/// destination lists (`dests[k]`) of the update DAG.
-fn src_dest_lists(g: &TaskGraph) -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
-    let mut srcs: Vec<Vec<u32>> = vec![Vec::new(); g.nblocks];
-    let mut dests: Vec<Vec<u32>> = vec![Vec::new(); g.nblocks];
-    for t in &g.tasks {
-        if let TaskKind::Update(k, j) = *t {
-            srcs[j as usize].push(k);
-            dests[k as usize].push(j);
-        }
-    }
-    for s in &mut srcs {
-        s.sort_unstable();
-    }
-    for d in &mut dests {
-        d.sort_unstable();
-    }
-    (srcs, dests)
-}
-
-/// Build the task-DAG operation list for grid column `cno` of a
-/// `p_c`-column grid. Destination-driven: stages run in the plan's
-/// postorder; each owned destination's full chain list (ascending
-/// sources) precedes its `Factor`; `Retire(k)` appears in every grid
-/// column's list at the same global position — immediately after the
-/// stage holding `k`'s last destination (its own `Factor` if none).
-pub fn taskdag_schedule(g: &TaskGraph, plan: &TaskDagPlan, pc: usize, cno: usize) -> Vec<Op2d> {
-    assert!(pc >= 1 && cno < pc);
-    let nb = g.nblocks;
-    assert_eq!(plan.col_owner.len(), nb);
-    let (srcs, dests) = src_dest_lists(g);
-    let mut pos_of = vec![0usize; nb];
-    for (pos, &j) in plan.stage_order.iter().enumerate() {
-        pos_of[j] = pos;
-    }
-    // Retire stage k right after the stage at its last-use position.
-    let mut retire_at: Vec<Vec<u32>> = vec![Vec::new(); nb];
-    for k in 0..nb {
-        let last = dests[k]
-            .iter()
-            .map(|&j| pos_of[j as usize])
-            .max()
-            .unwrap_or(pos_of[k])
-            .max(pos_of[k]);
-        retire_at[last].push(k as u32);
-    }
-    for r in &mut retire_at {
-        r.sort_unstable();
-    }
-
-    let mut ops: Vec<Op2d> = Vec::new();
-    let mut inflight = 0u32;
-    for (pos, &j) in plan.stage_order.iter().enumerate() {
-        if plan.grid_col(j, pc) == cno {
-            for (seq, &k) in srcs[j].iter().enumerate() {
-                ops.push(Op2d::Swap {
-                    k,
-                    j: j as u32,
-                    seq: seq as u32,
-                });
-                ops.push(Op2d::Trsm { k, j: j as u32 });
-                ops.push(Op2d::Update {
-                    k,
-                    j: j as u32,
-                    seq: seq as u32,
-                    deferred: inflight > 1,
-                    depth: inflight.max(1),
-                });
-            }
-            ops.push(Op2d::Factor {
-                k: j as u32,
-                nsrcs: srcs[j].len() as u32,
-            });
-        }
-        inflight += 1;
-        for &k in &retire_at[pos] {
-            ops.push(Op2d::Retire { k });
-            inflight -= 1;
-        }
-    }
-    debug_assert_eq!(inflight, 0);
-    ops
 }
 
 /// Map the plan onto the discrete-event simulator: subtree tasks run on
@@ -379,7 +258,6 @@ mod tests {
         let (g, parent) = setup(&tree_matrix(), 8);
         let plan = plan_taskdag(&g, &parent, 1);
         assert!(plan.col_owner.iter().all(|&o| o == 0));
-        assert_eq!(plan.subtree_task_count(&g), g.len() as u64);
     }
 
     #[test]
@@ -400,90 +278,6 @@ mod tests {
             }
         }
         assert!(used.iter().all(|&u| u), "some rank got no subtree work");
-    }
-
-    /// Replay a task-DAG op list, checking executor invariants. Returns
-    /// per-column applied-update counts and the retire sequence.
-    fn replay(ops: &[Op2d], nb: usize) -> (Vec<u32>, Vec<u32>) {
-        let mut applied = vec![0u32; nb];
-        let mut open: Option<(u32, u32, u32)> = None; // (k, j, phase)
-        let mut factored = vec![false; nb];
-        let mut retired = vec![false; nb];
-        let mut retires: Vec<u32> = Vec::new();
-        for op in ops {
-            match *op {
-                Op2d::Swap { k, j, seq } => {
-                    assert!(!retired[k as usize], "Swap({k},{j}) after Retire({k})");
-                    assert_eq!(seq, applied[j as usize], "non-ascending source in {j}");
-                    assert!(open.is_none(), "chain not closed before Swap({k},{j})");
-                    open = Some((k, j, 0));
-                }
-                Op2d::Trsm { k, j } => {
-                    assert_eq!(open, Some((k, j, 0)), "Trsm({k},{j}) out of order");
-                    open = Some((k, j, 1));
-                }
-                Op2d::Update {
-                    k, j, seq, depth, ..
-                } => {
-                    assert_eq!(open.take(), Some((k, j, 1)), "Update({k},{j}) out of order");
-                    assert_eq!(seq, applied[j as usize]);
-                    assert!(depth >= 1);
-                    applied[j as usize] += 1;
-                }
-                Op2d::Factor { k, nsrcs } => {
-                    assert!(open.is_none());
-                    assert!(!factored[k as usize], "Factor({k}) twice");
-                    assert_eq!(applied[k as usize], nsrcs, "Factor({k}) before sources");
-                    factored[k as usize] = true;
-                }
-                Op2d::Retire { k } => {
-                    assert!(open.is_none());
-                    assert!(!retired[k as usize], "Retire({k}) twice");
-                    retired[k as usize] = true;
-                    retires.push(k);
-                }
-            }
-        }
-        assert!(open.is_none());
-        (applied, retires)
-    }
-
-    #[test]
-    fn schedule_invariants_and_coverage() {
-        let (g, parent) = setup(&tree_matrix(), 8);
-        let (srcs, _) = src_dest_lists(&g);
-        for (nprocs, pc) in [(2usize, 2usize), (4, 2), (6, 3)] {
-            let plan = plan_taskdag(&g, &parent, nprocs);
-            let mut retires: Option<Vec<u32>> = None;
-            let mut total_updates = 0usize;
-            for cno in 0..pc {
-                let ops = taskdag_schedule(&g, &plan, pc, cno);
-                let (applied, r) = replay(&ops, g.nblocks);
-                assert_eq!(r.len(), g.nblocks, "every stage retires on col {cno}");
-                match &retires {
-                    None => retires = Some(r),
-                    Some(prev) => assert_eq!(prev, &r, "retire order differs on col {cno}"),
-                }
-                for j in 0..g.nblocks {
-                    let expect = if plan.grid_col(j, pc) == cno {
-                        srcs[j].len() as u32
-                    } else {
-                        0
-                    };
-                    assert_eq!(applied[j], expect, "column {j} on grid col {cno}");
-                    total_updates += applied[j] as usize;
-                }
-            }
-            let all_updates = g
-                .tasks
-                .iter()
-                .filter(|t| matches!(t, TaskKind::Update(..)))
-                .count();
-            assert_eq!(
-                total_updates, all_updates,
-                "updates partition across columns"
-            );
-        }
     }
 
     #[test]
@@ -531,32 +325,5 @@ mod tests {
             r4.makespan,
             rc.makespan
         );
-    }
-
-    #[test]
-    fn cyclic_plan_matches_lookahead_update_multiset() {
-        // The all-cyclic task-DAG schedule touches exactly the update set
-        // of the W=0 lookahead schedule, column by column.
-        let (g, _parent) = setup(&tree_matrix(), 8);
-        let plan = TaskDagPlan::cyclic(g.nblocks, 2);
-        for cno in 0..2 {
-            let mut dag: Vec<(u32, u32)> = taskdag_schedule(&g, &plan, 2, cno)
-                .iter()
-                .filter_map(|op| match op {
-                    Op2d::Update { k, j, .. } => Some((*k, *j)),
-                    _ => None,
-                })
-                .collect();
-            let mut la: Vec<(u32, u32)> = crate::lookahead::lookahead_schedule(&g, 2, cno, 0)
-                .iter()
-                .filter_map(|op| match op {
-                    Op2d::Update { k, j, .. } => Some((*k, *j)),
-                    _ => None,
-                })
-                .collect();
-            dag.sort_unstable();
-            la.sort_unstable();
-            assert_eq!(dag, la);
-        }
     }
 }

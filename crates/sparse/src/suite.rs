@@ -277,7 +277,7 @@ pub fn all() -> Vec<MatrixSpec> {
         // The n = 50k–500k extension tier ([`XLARGE`]): hierarchical
         // (bordered block-diagonal) matrices whose block elimination
         // trees have dozens-to-hundreds of independent subtrees — the
-        // structural class the task-DAG runtime exists for. `paper_n` /
+        // structural class the task-DAG planner exists for. `paper_n` /
         // `paper_nnz` record the generated order and nnz (there is no
         // paper counterpart).
         MatrixSpec {

@@ -700,16 +700,14 @@ fn factor_on_grid(
     cli: &Cli,
     trace: Option<&sstar::probe::Collector>,
 ) -> Result<sstar::core::par2d::Par2dResult, SolverError> {
-    use sstar::core::par2d::{factor_par2d_with, Par2dOptions, Sched2d};
+    use sstar::core::par2d::{factor_par2d_with, Par2dOptions};
     let opts = Par2dOptions {
         run: sstar::machine::RunOptions {
             trace,
             jitter_seed: None,
         },
         threshold: cli.options.pivot_threshold,
-        sched: Sched2d::Stages {
-            window: cli.lookahead,
-        },
+        window: cli.lookahead,
         ..Par2dOptions::default()
     };
     factor_par2d_with(&solver.permuted, solver.pattern.clone(), grid, &opts)
@@ -720,7 +718,6 @@ fn factor_on_grid(
 fn cmd_analyze(cli: &Cli) -> ExitCode {
     use sstar::probe::analyze::{
         attribute, report_json, report_text, trace_from_chrome_json, CommModel, ReportExtras,
-        TaskDagSummary,
     };
     use sstar::probe::Collector;
 
@@ -757,7 +754,6 @@ fn cmd_analyze(cli: &Cli) -> ExitCode {
             lookahead: cli.lookahead,
             executor_depth_p95: None,
             model: None,
-            taskdag: None,
         };
         (trace, extras)
     } else {
@@ -788,19 +784,6 @@ fn cmd_analyze(cli: &Cli) -> ExitCode {
             }
         };
         let trace = collector.finish();
-        // subtree-local vs separator work under the task-DAG schedule,
-        // read off its plan (which fixes both counts before any run)
-        let graph = sstar::sched::TaskGraph::build(&solver.pattern);
-        let plan = sstar::sched::plan_taskdag(
-            &graph,
-            &sstar::symbolic::block_etree(&solver.pattern),
-            grid.nprocs(),
-        );
-        let td = TaskDagSummary {
-            subtree_local_tasks: plan.subtree_task_count(&graph),
-            total_tasks: graph.len() as u64,
-            nsubtrees: plan.nsubtrees as u64,
-        };
         let extras = ReportExtras {
             matrix: cli.matrix.clone(),
             pr: grid.pr,
@@ -813,7 +796,6 @@ fn cmd_analyze(cli: &Cli) -> ExitCode {
                 stages: solver.pattern.nblocks(),
                 factor_entries: solver.static_factor_nnz() as u64,
             }),
-            taskdag: Some(td),
         };
         (trace, extras)
     };

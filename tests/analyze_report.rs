@@ -6,12 +6,12 @@
 //! report is schema-stable.
 #![cfg(feature = "probe")]
 
-use sstar::core::par2d::{factor_par2d_with, Par2dOptions, Sched2d};
+use sstar::core::par2d::{factor_par2d_with, Par2dOptions};
 use sstar::machine::Grid;
 use sstar::machine::RunOptions;
 use sstar::prelude::*;
 use sstar::probe::analyze::{
-    attribute, report_json, report_text, CommModel, ReportExtras, TaskDagSummary, CATEGORIES,
+    attribute, report_json, report_text, CommModel, ReportExtras, CATEGORIES,
 };
 use sstar::probe::json::{parse, Value};
 use sstar::probe::Collector;
@@ -34,19 +34,12 @@ fn analyze_sherman5_2x2() -> Analyzed {
             trace: Some(&collector),
             ..RunOptions::default()
         },
-        sched: Sched2d::Stages { window: lookahead },
+        window: lookahead,
         ..Par2dOptions::default()
     };
     let r = factor_par2d_with(&solver.permuted, solver.pattern.clone(), grid, &opts).unwrap();
     let trace = collector.finish();
     let attribution = attribute(&trace);
-    // the task-DAG split comes from the plan, as in `splu analyze`
-    let graph = sstar::sched::TaskGraph::build(&solver.pattern);
-    let plan = sstar::sched::plan_taskdag(
-        &graph,
-        &sstar::symbolic::block_etree(&solver.pattern),
-        grid.nprocs(),
-    );
     let extras = ReportExtras {
         matrix: "sherman5".into(),
         pr: grid.pr,
@@ -58,11 +51,6 @@ fn analyze_sherman5_2x2() -> Analyzed {
             pc: grid.pc,
             stages: solver.pattern.nblocks(),
             factor_entries: solver.static_factor_nnz() as u64,
-        }),
-        taskdag: Some(TaskDagSummary {
-            subtree_local_tasks: plan.subtree_task_count(&graph),
-            total_tasks: graph.len() as u64,
-            nsubtrees: plan.nsubtrees as u64,
         }),
     };
     Analyzed {
@@ -144,34 +132,12 @@ fn sherman5_2x2_report_json_is_schema_stable() {
         "bytes",
         "model_messages",
         "model_bytes",
-        "taskdag",
         "attribution",
         "ranks",
     ] {
         assert!(v.get(key).is_some(), "missing key {key}");
     }
 
-    // the task-DAG attribution block is coherent: local + separator tasks
-    // partition the run, the rendered share matches, and the cut found at
-    // least one subtree
-    let td = v.get("taskdag").unwrap();
-    let local = td
-        .get("subtree_local_tasks")
-        .and_then(Value::as_u64)
-        .unwrap();
-    let sep = td.get("separator_tasks").and_then(Value::as_u64).unwrap();
-    let share = td
-        .get("subtree_task_share")
-        .and_then(Value::as_f64)
-        .unwrap();
-    assert!(local + sep > 0, "task-DAG run executed no tasks");
-    assert!((0.0..=1.0).contains(&share));
-    assert!(
-        (share - local as f64 / (local + sep) as f64).abs() < 1e-3,
-        "share {share} inconsistent with {local}/{}",
-        local + sep
-    );
-    assert!(td.get("nsubtrees").and_then(Value::as_u64).unwrap() >= 1);
     assert!(matches!(
         v.get("pipeline_depth_ok"),
         Some(Value::Bool(true))
@@ -215,6 +181,5 @@ fn sherman5_2x2_report_json_is_schema_stable() {
         assert!(txt.contains(&format!("P{p}")), "missing rank {p} row");
     }
     assert!(txt.contains("bound p_c + W = 3"));
-    assert!(txt.contains("task-DAG:"), "missing task-DAG report line");
     assert!(!txt.contains("EXCEEDS"));
 }

@@ -6,9 +6,7 @@
 //! updates) implement exactly the same arithmetic as the specification.
 
 use sstar::core::par1d::{factor_par1d, Strategy1d};
-use sstar::core::par2d::{
-    factor_par2d, factor_par2d_with, Par2dOptions, Par2dResult, Sched2d, Sync2d,
-};
+use sstar::core::par2d::{factor_par2d, factor_par2d_with, Par2dOptions, Par2dResult, Sync2d};
 use sstar::core::seq::factor_sequential;
 use sstar::core::BlockMatrix;
 use sstar::prelude::*;
@@ -101,10 +99,10 @@ fn parallel_factors_solve_correctly() {
     assert!(err < 1e-7, "2D-factored solve error {err}");
 }
 
-/// The stage-pipelined 2D engine with lookahead window `window`.
+/// The 2D engine with lookahead window `window`.
 fn factor_stages(solver: &SparseLuSolver, grid: Grid, window: usize) -> Par2dResult {
     let opts = Par2dOptions {
-        sched: Sched2d::Stages { window },
+        window,
         ..Par2dOptions::default()
     };
     factor_par2d_with(&solver.permuted, solver.pattern.clone(), grid, &opts).unwrap()

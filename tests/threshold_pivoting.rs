@@ -10,7 +10,7 @@
 //!   threshold (the distributed pivot rule matches the sequential one).
 
 use sstar::core::par1d::{factor_par1d_with, Par1dOptions};
-use sstar::core::par2d::{factor_par2d_with, Par2dOptions, Sched2d};
+use sstar::core::par2d::{factor_par2d_with, Par2dOptions};
 use sstar::core::seq::factor_sequential_with;
 use sstar::core::BlockMatrix;
 use sstar::core::FactorScratch;
@@ -92,7 +92,7 @@ fn backends_bitwise_identical_at_threshold() {
 
     let opts2 = Par2dOptions {
         threshold,
-        sched: Sched2d::Stages { window: 1 },
+        window: 1,
         ..Par2dOptions::default()
     };
     let r2 = factor_par2d_with(

@@ -3,7 +3,7 @@
 //! own communication accounting.
 #![cfg(feature = "probe")]
 
-use sstar::core::par2d::{factor_par2d_with, Par2dOptions, Sched2d};
+use sstar::core::par2d::{factor_par2d_with, Par2dOptions};
 use sstar::machine::Grid;
 use sstar::machine::RunOptions;
 use sstar::prelude::*;
@@ -21,7 +21,7 @@ fn traced_run(grid: Grid) -> (sstar::core::par2d::Par2dResult, sstar::probe::Tra
             trace: Some(&collector),
             ..RunOptions::default()
         },
-        sched: Sched2d::Stages { window: 1 },
+        window: 1,
         ..Par2dOptions::default()
     };
     let r = factor_par2d_with(&solver.permuted, solver.pattern.clone(), grid, &opts).unwrap();

@@ -90,10 +90,6 @@ cargo run --release -q --bin splu -- analyze sherman5 --procs 4 \
 grep -q '"report": "splu_analyze"' results/ANALYZE_sherman5_2x2.json
 grep -q '"pipeline_depth_ok": true' results/ANALYZE_sherman5_2x2.json
 grep -q 'bound p_c + W = 3' results/ANALYZE_sherman5_2x2.txt
-# the task-DAG attribution block: subtree-local vs separator task split
-grep -q '"taskdag": ' results/ANALYZE_sherman5_2x2.json
-grep -q '"subtree_task_share": ' results/ANALYZE_sherman5_2x2.json
-grep -q 'task-DAG: ' results/ANALYZE_sherman5_2x2.txt
 
 # perf record: factor the synthetic suite with the seq/par1d/par2d
 # drivers. The fresh run is gated against the committed record — a
