@@ -13,8 +13,7 @@ use crate::error::SolverError;
 use crate::scratch::FactorScratch;
 use crate::seq::{factor_sequential_with, FactorStats};
 use crate::solve::{
-    solve_factored_in_place, solve_factored_multi_in_place, solve_factored_transpose_in_place,
-    MultiSolveScratch,
+    solve_factored_multi_in_place, solve_factored_transpose_in_place, MultiSolveScratch,
 };
 use crate::storage::BlockMatrix;
 use splu_order::ColumnOrdering;
@@ -100,14 +99,17 @@ pub struct FactorizedLu {
 }
 
 /// Reusable buffers for repeated solves against one factorization: the
-/// permuted/scaled copy of the right-hand side(s) plus the blocked-kernel
-/// scratch. Warm after the first solve — no allocation per call, which is
-/// what iterative refinement and the solver-service workers want.
+/// permuted/scaled copy of the right-hand side(s), which the blocked sweep
+/// solves in place, plus its product/gather scratch. Warm after the first
+/// solve — no allocation per call, which is what iterative refinement and
+/// the solver-service workers want.
 #[derive(Default)]
 pub struct SolveWorkspace {
-    /// Permuted right-hand side / solution buffer (`n` or `n × nrhs`).
+    /// Permuted right-hand side(s), overwritten by the solution in
+    /// permuted coordinates (`n × nrhs`, column-major; `n × 1` for the
+    /// 1-RHS and transpose solves).
     y: Vec<f64>,
-    /// Gather/product buffers of the blocked multi-RHS kernels.
+    /// L-panel product and U-column gather buffer of the blocked sweep.
     scratch: MultiSolveScratch,
 }
 
@@ -294,56 +296,22 @@ impl FactorizedLu {
 
     /// Workspace-reusing [`FactorizedLu::solve`]: writes the solution into
     /// `x`, allocating nothing once `ws` is warm. The building block for
-    /// iterative refinement and the solver-service workers.
+    /// iterative refinement; it is the one-right-hand-side call of
+    /// [`FactorizedLu::solve_many_with`].
     pub fn solve_with(
         &self,
         b: &[f64],
         x: &mut [f64],
         ws: &mut SolveWorkspace,
     ) -> Result<(), SolverError> {
-        let n = self.blocks.n;
-        if b.len() != n {
-            return Err(SolverError::DimensionMismatch {
-                expected: n,
-                got: b.len(),
-            });
-        }
-        if x.len() != n {
-            return Err(SolverError::DimensionMismatch {
-                expected: n,
-                got: x.len(),
-            });
-        }
-        // B = P (R A C) Qᵀ was factored; solve B z = P (R b), then
-        // x = C · Qᵀ z. The scalar (BLAS-2) sweep: bitwise identical to
-        // the historical single-RHS path and cheaper than panel
-        // gather/scatter for one column.
-        ws.y.clear();
-        ws.y.resize(n, 0.0);
-        for (i, y) in ws.y.iter_mut().enumerate() {
-            let o = self.row_perm.old_of_new(i);
-            *y = if self.row_scale.is_empty() {
-                b[o]
-            } else {
-                b[o] * self.row_scale[o]
-            };
-        }
-        solve_factored_in_place(&self.blocks, &self.pivots, &mut ws.y);
-        for (j, xv) in x.iter_mut().enumerate() {
-            let v = ws.y[self.col_perm.new_of_old(j)];
-            *xv = if self.col_scale.is_empty() {
-                v
-            } else {
-                v * self.col_scale[j]
-            };
-        }
-        Ok(())
+        self.solve_many_with(b, 1, x, ws)
     }
 
     /// Batched solve of `nrhs` systems: `b` holds the right-hand sides
     /// column-major (`b[c * n + i]` = component `i` of RHS `c`); returns
     /// the solutions in the same layout. One blocked forward/backward
-    /// sweep over the factors serves all columns (BLAS-3 style).
+    /// sweep over the factors serves all columns (BLAS-3 style); it is
+    /// the same sweep every 1-RHS solve runs.
     pub fn solve_many(&self, b: &[f64], nrhs: usize) -> Result<Vec<f64>, SolverError> {
         let mut x = vec![0.0; b.len()];
         let mut ws = SolveWorkspace::default();
@@ -353,6 +321,7 @@ impl FactorizedLu {
 
     /// Workspace-reusing [`FactorizedLu::solve_many`]: solutions go into
     /// `x` (same column-major layout as `b`), no allocation once warm.
+    /// The solver-service workers' hot path.
     pub fn solve_many_with(
         &self,
         b: &[f64],

@@ -30,7 +30,9 @@ pub struct FactorStats {
     pub update_tasks: usize,
     /// Rows actually interchanged (pivot ≠ diagonal).
     pub row_interchanges: usize,
-    /// Flops spent in full-block DGEMM updates.
+    /// Flops spent in full-block DGEMM updates. Counted by the driver
+    /// for the factorization alone: solves against the factors add to
+    /// the kernels' BLAS-3 counters, never to these two fields.
     pub gemm_flops: u64,
     /// Flops spent in panel factorization + TRSM + scatter paths.
     pub other_flops: u64,

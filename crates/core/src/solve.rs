@@ -7,125 +7,45 @@
 //! the original step order — followed by an ordinary back substitution
 //! with `U`. This is exactly the paper's `L y = P b`, `U x = y` pair
 //! (§2), expressed in slot coordinates.
+//!
+//! One blocked supernodal sweep serves every `A x = b` solve, for one
+//! right-hand side or many: per block, one TRSM with the diagonal block
+//! and one DGEMM per off-diagonal panel, run in place on the right-hand
+//! side rows (leading dimension `n`). At one right-hand side the DGEMMs
+//! take the kernel's axpy path, so each panel is streamed once,
+//! contiguously. The kernels credit these solves' flops to the BLAS-3
+//! counters. The transpose solve `Aᵀ x = b` is a column sweep of its own.
 
 use crate::storage::BlockMatrix;
 use splu_kernels::{dgemm, dtrsm_left_lower_unit, dtrsm_left_upper};
 
-/// Reusable buffers for the blocked multi-RHS solves (no allocation per
-/// solve once warm).
+/// Reusable buffer for the blocked solves (no allocation per solve once
+/// warm).
 #[derive(Default)]
 pub struct MultiSolveScratch {
-    /// Gathered `w × nrhs` panel of the current block's RHS rows.
-    block: Vec<f64>,
-    /// Gather/product buffer (L-panel products, U-column gathers).
+    /// Product/gather buffer (L-panel products, U-column gathers).
     work: Vec<f64>,
 }
 
-/// Forward elimination: replay the recorded pivoting/elimination steps on
-/// `y` in place (computes `y ← L⁻¹ P y`).
+/// Solve `A x = b` given the factored storage and pivot sequences, where
+/// `A` is the matrix that was scattered into `m` before factorization:
+/// the one-right-hand-side call of [`solve_factored_multi`].
+pub fn solve_factored(m: &BlockMatrix, pivots: &[Vec<u32>], b: &[f64]) -> Vec<f64> {
+    solve_factored_multi(m, pivots, b, 1)
+}
+
+/// Blocked forward elimination for `nrhs` right-hand sides stored
+/// column-major in `y` (`y[c * n + i]` = component `i` of RHS `c`):
+/// replays the recorded pivoting/elimination steps in place (computes
+/// `y ← L⁻¹ P y`).
 ///
 /// Because `Factor(k)` swaps *full rows within its column block* (LAPACK
 /// panel semantics, Fig. 7 line 04), the stored panel L holds post-swap
 /// multipliers: the correct replay applies all of a block's interchanges
 /// to `y` first, then the block's eliminations — exactly like LAPACK's
-/// `getrs` does per panel.
-pub fn forward_eliminate(m: &BlockMatrix, pivots: &[Vec<u32>], y: &mut [f64]) {
-    assert_eq!(y.len(), m.n);
-    let nb = m.pattern.nblocks();
-    for k in 0..nb {
-        let cb = &m.cols[k];
-        let lo = cb.lo as usize;
-        let w = cb.w as usize;
-        let nl = cb.lrows.len();
-        // 1. the block's interchanges, in pivot order
-        for (t, &piv) in pivots[k].iter().enumerate() {
-            let row = lo + t;
-            if piv as usize != row {
-                y.swap(row, piv as usize);
-            }
-        }
-        // 2. the block's eliminations with the stored (post-swap) panel
-        for t in 0..w {
-            let row = lo + t;
-            let ym = y[row];
-            if ym != 0.0 {
-                for r in (t + 1)..w {
-                    y[lo + r] -= cb.diag[r + t * w] * ym;
-                }
-                let lcol = &cb.lpanel[t * nl..(t + 1) * nl];
-                for (p, &g) in cb.lrows.iter().enumerate() {
-                    y[g as usize] -= lcol[p] * ym;
-                }
-            }
-        }
-    }
-}
-
-/// Back substitution: solve `U x = y` in place over the block storage.
-///
-/// # Panics
-/// Panics if a diagonal entry is exactly zero.
-pub fn back_substitute(m: &BlockMatrix, y: &mut [f64]) {
-    assert_eq!(y.len(), m.n);
-    let nb = m.pattern.nblocks();
-    // Per row block k, the U blocks to its right live in cols[j].ublocks;
-    // the pattern's u_blocks[k] lists the j's.
-    for k in (0..nb).rev() {
-        let lo = m.pattern.part.start(k);
-        let w = m.pattern.part.width(k);
-        for t in (0..w).rev() {
-            let row = lo + t;
-            let mut s = y[row];
-            // off-block U entries
-            for up in &m.pattern.u_blocks[k] {
-                let j = up.j as usize;
-                let cb = &m.cols[j];
-                let ub_idx = cb
-                    .ublocks
-                    .binary_search_by_key(&(k as u32), |u| u.k)
-                    .expect("pattern/storage mismatch");
-                let ub = &cb.ublocks[ub_idx];
-                let h = ub.h as usize;
-                for (cpos, &gc) in ub.cols.iter().enumerate() {
-                    s -= ub.panel[t + cpos * h] * y[gc as usize];
-                }
-            }
-            // in-block U entries
-            let cb = &m.cols[k];
-            for c in (t + 1)..w {
-                s -= cb.diag[t + c * w] * y[lo + c];
-            }
-            let d = cb.diag[t + t * w];
-            assert!(d != 0.0, "zero U diagonal at row {row}");
-            y[row] = s / d;
-        }
-    }
-}
-
-/// Solve `A x = b` given the factored storage and pivot sequences, where
-/// `A` is the matrix that was scattered into `m` before factorization.
-pub fn solve_factored(m: &BlockMatrix, pivots: &[Vec<u32>], b: &[f64]) -> Vec<f64> {
-    let mut y = b.to_vec();
-    solve_factored_in_place(m, pivots, &mut y);
-    y
-}
-
-/// In-place [`solve_factored`]: `y` enters holding `b` and leaves holding
-/// `x`. No allocation — the workspace-reusing building block for
-/// iterative refinement and the solver service.
-pub fn solve_factored_in_place(m: &BlockMatrix, pivots: &[Vec<u32>], y: &mut [f64]) {
-    forward_eliminate(m, pivots, y);
-    back_substitute(m, y);
-}
-
-/// Blocked forward elimination for `nrhs` right-hand sides stored
-/// column-major in `y` (`y[c * n + i]` = component `i` of RHS `c`).
-///
-/// Per column block the interchanges are replayed on every RHS, then the
-/// whole `w × nrhs` panel goes through one unit-lower TRSM and the packed
-/// L panel is applied with one DGEMM — the BLAS-3 form of
-/// [`forward_eliminate`] (which it matches up to roundoff; summation
-/// order inside the DGEMM differs).
+/// `getrs` does per panel. The eliminations are one unit-lower TRSM on
+/// the block's rows of every RHS and one DGEMM with the packed L panel,
+/// scatter-subtracted at the panel's global rows.
 pub fn forward_eliminate_multi(
     m: &BlockMatrix,
     pivots: &[Vec<u32>],
@@ -150,22 +70,11 @@ pub fn forward_eliminate_multi(
                 }
             }
         }
-        // 2. gather the block's RHS rows into a w × nrhs panel and apply
-        //    the unit-lower diagonal factor to all columns at once
-        scratch.block.clear();
-        for c in 0..nrhs {
-            scratch
-                .block
-                .extend_from_slice(&y[c * n + lo..c * n + lo + w]);
-        }
-        dtrsm_left_lower_unit(w, nrhs, &cb.diag, w, &mut scratch.block, w);
-        for c in 0..nrhs {
-            y[c * n + lo..c * n + lo + w].copy_from_slice(&scratch.block[c * w..(c + 1) * w]);
-        }
+        // 2. the unit-lower diagonal factor, on the block's rows in place
+        dtrsm_left_lower_unit(w, nrhs, &cb.diag, w, &mut y[lo..], n);
         // 3. propagate through the packed L panel with one DGEMM, then
         //    scatter-subtract at the panel's global rows
         if nl > 0 {
-            scratch.work.clear();
             scratch.work.resize(nl * nrhs, 0.0);
             dgemm(
                 nl,
@@ -174,8 +83,8 @@ pub fn forward_eliminate_multi(
                 1.0,
                 &cb.lpanel,
                 nl,
-                &scratch.block,
-                w,
+                &y[lo..],
+                n,
                 0.0,
                 &mut scratch.work,
                 nl,
@@ -194,8 +103,8 @@ pub fn forward_eliminate_multi(
 /// Blocked back substitution for `nrhs` right-hand sides stored
 /// column-major in `y`: per row block (last to first), the off-block `U`
 /// contributions are one DGEMM per U block against the already-final
-/// solution rows, and the diagonal block is one non-unit upper TRSM over
-/// the whole panel.
+/// solution rows, and the diagonal block is one non-unit upper TRSM, both
+/// on the block's rows in place.
 ///
 /// # Panics
 /// Panics if a diagonal entry of `U` is exactly zero.
@@ -211,12 +120,6 @@ pub fn back_substitute_multi(
     for k in (0..nb).rev() {
         let lo = m.pattern.part.start(k);
         let w = m.pattern.part.width(k);
-        scratch.block.clear();
-        for c in 0..nrhs {
-            scratch
-                .block
-                .extend_from_slice(&y[c * n + lo..c * n + lo + w]);
-        }
         // off-block U: rows of block k against final x values from blocks
         // right of k
         for up in &m.pattern.u_blocks[k] {
@@ -233,7 +136,7 @@ pub fn back_substitute_multi(
                 continue;
             }
             // gather the solution rows at the U block's global columns
-            // (an nc × nrhs panel), then block -= panel · gathered
+            // (an nc × nrhs panel), then rows -= panel · gathered
             scratch.work.clear();
             for c in 0..nrhs {
                 let ycol = &y[c * n..(c + 1) * n];
@@ -251,16 +154,13 @@ pub fn back_substitute_multi(
                 &scratch.work,
                 nc,
                 1.0,
-                &mut scratch.block,
-                w,
+                &mut y[lo..],
+                n,
             );
         }
-        // in-block: non-unit upper solve on the whole panel
+        // in-block: non-unit upper solve on the block's rows
         let cb = &m.cols[k];
-        dtrsm_left_upper(w, nrhs, &cb.diag, w, &mut scratch.block, w);
-        for c in 0..nrhs {
-            y[c * n + lo..c * n + lo + w].copy_from_slice(&scratch.block[c * w..(c + 1) * w]);
-        }
+        dtrsm_left_upper(w, nrhs, &cb.diag, w, &mut y[lo..], n);
     }
 }
 
@@ -295,6 +195,12 @@ pub fn solve_factored_multi(
 /// Forward substitution with `Uᵀ` (a lower-triangular solve): computes
 /// `y ← U⁻ᵀ y` in place, reading `U`'s columns from the block storage.
 ///
+/// Per column block, each `U` block above the diagonal is applied once —
+/// its rows of `y` are already final, so every stored column subtracts
+/// one contiguous dot product with them — and then the in-block
+/// transposed triangle is solved. Each column sees its subtractions in
+/// the same order as a column-by-column sweep.
+///
 /// # Panics
 /// Panics if a diagonal entry is exactly zero.
 pub fn forward_substitute_ut(m: &BlockMatrix, y: &mut [f64]) {
@@ -304,27 +210,29 @@ pub fn forward_substitute_ut(m: &BlockMatrix, y: &mut [f64]) {
         let cb = &m.cols[jb];
         let lo = cb.lo as usize;
         let w = cb.w as usize;
-        for t in 0..w {
-            let col = lo + t;
-            let mut s = y[col];
-            // entries of U column `col` above the diagonal block
-            for ub in &cb.ublocks {
-                if let Ok(cpos) = ub.cols.binary_search(&(col as u32)) {
-                    let h = ub.h as usize;
-                    let base = ub.lo_k as usize;
-                    let panel_col = &ub.panel[cpos * h..(cpos + 1) * h];
-                    for (r, &v) in panel_col.iter().enumerate() {
-                        s -= v * y[base + r];
-                    }
+        // entries of U above the diagonal block: rows of earlier blocks
+        let (done, ycols) = y.split_at_mut(lo);
+        for ub in &cb.ublocks {
+            let h = ub.h as usize;
+            let yk = &done[ub.lo_k as usize..ub.lo_k as usize + h];
+            for (panel_col, &gc) in ub.panel.chunks_exact(h).zip(ub.cols.iter()) {
+                let yc = &mut ycols[gc as usize - lo];
+                let mut s = *yc;
+                for (&v, &yr) in panel_col.iter().zip(yk) {
+                    s -= v * yr;
                 }
+                *yc = s;
             }
-            // in-block entries above the diagonal
+        }
+        // in-block entries above the diagonal
+        for t in 0..w {
+            let mut s = ycols[t];
             for r in 0..t {
-                s -= cb.diag[r + t * w] * y[lo + r];
+                s -= cb.diag[r + t * w] * ycols[r];
             }
             let d = cb.diag[t + t * w];
-            assert!(d != 0.0, "zero U diagonal at column {col}");
-            y[col] = s / d;
+            assert!(d != 0.0, "zero U diagonal at column {}", lo + t);
+            ycols[t] = s / d;
         }
     }
 }
@@ -462,30 +370,12 @@ mod tests {
     }
 
     #[test]
-    fn multi_rhs_single_column_matches_scalar_path() {
-        let a = gen::random_sparse(60, 3, 0.5, ValueModel::default());
-        let n = a.ncols();
-        let mut m = build(&a, 4, 8);
-        let (pivots, _) = factor_sequential(&mut m).unwrap();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.31).cos()).collect();
-        let x1 = super::solve_factored(&m, &pivots, &b);
-        let xm = super::solve_factored_multi(&m, &pivots, &b, 1);
-        for i in 0..n {
-            assert!((x1[i] - xm[i]).abs() < 1e-10, "row {i}");
-        }
-    }
-
-    #[test]
     fn in_place_variants_match_allocating_ones() {
         let a = gen::grid2d(7, 7, 0.5, ValueModel::default());
         let n = a.ncols();
         let mut m = build(&a, 4, 8);
         let (pivots, _) = factor_sequential(&mut m).unwrap();
         let b: Vec<f64> = (0..n).map(|i| ((i * 3 % 7) as f64) - 2.5).collect();
-        let x = super::solve_factored(&m, &pivots, &b);
-        let mut y = b.clone();
-        super::solve_factored_in_place(&m, &pivots, &mut y);
-        assert_eq!(x, y, "in-place forward/backward must be bitwise equal");
         let z = super::solve_factored_transpose(&m, &pivots, &b);
         let mut w = b.clone();
         super::solve_factored_transpose_in_place(&m, &pivots, &mut w);

@@ -18,7 +18,9 @@
 //! For multi-threaded runs each simulated processor usually keeps a private
 //! [`FlopCounter`] and merges it at the end instead. Every record also
 //! lands in a per-thread total ([`thread_count`]), which a caller can read
-//! without seeing other threads' kernel calls.
+//! without seeing other threads' kernel calls. The counters see every
+//! caller: the triangular solves of `A x = b`, at any number of
+//! right-hand sides, run DGEMM/DTRSM and count as BLAS-3.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -8,6 +8,12 @@
 //! per-flop costs) — measuring it confirms how much of the update work
 //! actually runs at DGEMM rates.
 //!
+//! Every kernel call on an attached thread counts, not only the
+//! factorization's: an `A x = b` solve (one right-hand side or many) runs
+//! the blocked TRSM/DGEMM sweep and so adds BLAS-3 flops. The
+//! `gemm_flops`/`other_flops` of `FactorStats` are counted by the driver
+//! itself and never include a solve.
+//!
 //! With the `probe` feature off, [`add`] is an empty inline function.
 
 /// BLAS level of a kernel, for flop attribution.
