@@ -30,7 +30,7 @@ pub struct FactorScratch {
     /// `U_kj` packed for the blocked update kernel.
     pub(crate) bpack: Vec<f64>,
     /// `L` segments packed for the blocked update kernel (the sequential
-    /// code's current stage; the 2D code's current update).
+    /// code's current stage).
     pub(crate) lpack: SegmentPack,
     /// Idle packs of the 1D code's cached panels (one per panel).
     pub(crate) lpacks: Vec<SegmentPack>,
@@ -44,15 +44,13 @@ pub struct FactorScratch {
     pub(crate) rowbuf2: Vec<f64>,
     /// Generic index list (update targets, owned block ids, …).
     pub(crate) idx: Vec<u32>,
-    /// Per-in-flight-stage `L_kk` staging slots of the 2D lookahead
-    /// executor: slot `k mod slots` holds stage `k`'s diagonal panel
-    /// across that stage's whole TRSM chain ([`stage_ids`](Self) tags the
-    /// occupant so the panel is staged once per stage, not once per
-    /// block). With a window of `W`, at most `W + 1` stages have live
-    /// TRSM work, so `W + 1` slots suffice and reuse is collision-free.
-    pub(crate) stage_panels: Vec<Vec<f64>>,
-    /// Stage currently staged in each slot (`u64::MAX` = empty).
-    pub(crate) stage_ids: Vec<u64>,
+    /// Per-in-flight-stage slots of the 2D lookahead executor: slot
+    /// `k mod slots` holds stage `k`'s packed `L` segments while the stage
+    /// is in flight, so each is packed once per stage as in the
+    /// sequential code. With a window of `W` at most `W + 1` stages have
+    /// live update work, so `W + 1` slots suffice; a slot is reclaimed
+    /// only after its stage retired.
+    pub(crate) stages: Vec<StageSlot>,
     /// Placeholder column block for the `update_block` borrow dance
     /// (swapping it in and out of the matrix allocates nothing).
     pub(crate) dummy: crate::storage::ColBlock,
@@ -70,7 +68,8 @@ impl FactorScratch {
     /// factorization ⇒ the run allocated nothing in the hot loop.
     pub fn grow_events(&self) -> u64 {
         let packs: u64 = self.lpacks.iter().map(SegmentPack::grow_events).sum();
-        self.grow_events + self.lpack.grow_events() + packs
+        let stages: u64 = self.stages.iter().map(|s| s.pack.grow_events()).sum();
+        self.grow_events + self.lpack.grow_events() + packs + stages
     }
 
     /// High-water footprint of the arena in bytes. Capacities never
@@ -81,14 +80,18 @@ impl FactorScratch {
             + self.urow.capacity()
             + self.lcol.capacity()
             + self.rowbuf.capacity()
-            + self.rowbuf2.capacity()
-            + self
-                .stage_panels
-                .iter()
-                .map(|p| p.capacity())
-                .sum::<usize>();
+            + self.rowbuf2.capacity();
         let u32s = self.idx.capacity();
-        let packs: usize = self.lpacks.iter().map(SegmentPack::peak_bytes).sum();
+        let packs: usize = self
+            .lpacks
+            .iter()
+            .map(SegmentPack::peak_bytes)
+            .sum::<usize>()
+            + self
+                .stages
+                .iter()
+                .map(|s| s.pack.peak_bytes())
+                .sum::<usize>();
         (f64s * 8 + u32s * 4 + self.lpack.peak_bytes() + packs) as u64
     }
 
@@ -97,38 +100,67 @@ impl FactorScratch {
         self.lpacks.pop().unwrap_or_default()
     }
 
-    /// Ensure `n` stage-panel slots exist and mark them all empty (stage
+    /// Ensure `n` stage slots exist and mark them all empty (stage
     /// identities must not leak across runs). Growing the slot table
     /// counts one grow event; a warmed arena re-run with the same window
     /// allocates nothing here.
     pub(crate) fn ensure_stage_slots(&mut self, n: usize) {
-        if self.stage_panels.len() < n {
+        if self.stages.len() < n {
             self.grow_events += 1;
-            self.stage_panels.resize_with(n, Vec::new);
-            self.stage_ids.resize(n, u64::MAX);
+            self.stages.resize_with(n, StageSlot::default);
         }
-        for id in &mut self.stage_ids {
-            *id = u64::MAX;
+        for s in &mut self.stages {
+            s.stage = EMPTY;
         }
     }
 
-    /// Stage stage `k`'s `L_kk` panel (produced by `fill`) into its slot
-    /// unless already resident, returning the staged slice.
-    pub(crate) fn stage_panel(
-        &mut self,
-        k: usize,
-        len: usize,
-        fill: impl FnOnce(&mut Vec<f64>),
-    ) -> &[f64] {
-        let slot = k % self.stage_panels.len();
-        if self.stage_ids[slot] != k as u64 {
-            self.stage_ids[slot] = k as u64;
-            let buf = &mut self.stage_panels[slot];
-            prep_cap(buf, len, &mut self.grow_events);
-            fill(buf);
-            debug_assert_eq!(buf.len(), len);
+    /// The slot of stage `k` (whose `L` panel has `nsegs` segments),
+    /// claimed for it — emptied — unless it already holds it.
+    pub(crate) fn stage_slot(&mut self, k: usize, nsegs: usize) -> &mut StageSlot {
+        let n = self.stages.len();
+        let s = &mut self.stages[k % n];
+        if s.stage != k {
+            debug_assert!(
+                s.stage == EMPTY || s.retired,
+                "stage {k} reuses the slot of unretired stage {}",
+                s.stage
+            );
+            s.stage = k;
+            s.retired = false;
+            s.pack.reset(nsegs);
         }
-        &self.stage_panels[slot]
+        s
+    }
+
+    /// Stage `k`'s last consumer ran: its slot may be reclaimed.
+    pub(crate) fn retire_stage(&mut self, k: usize) {
+        let n = self.stages.len();
+        let s = &mut self.stages[k % n];
+        s.retired |= s.stage == k;
+    }
+}
+
+/// Stage id of an empty [`StageSlot`].
+const EMPTY: usize = usize::MAX;
+
+/// One in-flight stage's staging in the 2D executor (see
+/// [`FactorScratch::stage_slot`]).
+pub(crate) struct StageSlot {
+    /// The occupying stage ([`EMPTY`] for none).
+    stage: usize,
+    /// Whether the occupant retired.
+    retired: bool,
+    /// The stage's blocked-shape `L` segments, each packed once.
+    pub(crate) pack: SegmentPack,
+}
+
+impl Default for StageSlot {
+    fn default() -> Self {
+        Self {
+            stage: EMPTY,
+            retired: false,
+            pack: SegmentPack::default(),
+        }
     }
 }
 
@@ -188,24 +220,34 @@ mod tests {
         let mut s = FactorScratch::new();
         s.ensure_stage_slots(3);
         assert_eq!(s.grow_events(), 1, "slot table growth counts once");
-        // three in-flight stages land in distinct slots
+        let a = [1.0; 64];
+        // three in-flight stages land in distinct slots, each packing once
         for k in [5usize, 6, 7] {
-            let p = s.stage_panel(k, 4, |b| b.resize(4, k as f64));
-            assert_eq!(p, [k as f64; 4]);
+            s.stage_slot(k, 2).pack.pack(0, 8, 8, &a, 8);
         }
         let grown = s.grow_events();
-        // re-staging a resident stage is free and does not re-fill
-        let p = s.stage_panel(6, 4, |_| panic!("stage 6 already staged"));
-        assert_eq!(p, [6.0; 4]);
-        // slot reuse by a retired stage's successor re-fills in place
-        let p = s.stage_panel(8, 4, |b| b.resize(4, 8.0));
-        assert_eq!(p, [8.0; 4]);
+        // a resident stage keeps its packs
+        s.stage_slot(6, 2).pack.pack(0, 8, 8, &[f64::NAN; 64], 8);
+        assert_eq!(s.stage_slot(6, 2).pack.get(0)[0], 1.0);
+        // a retired stage's successor reuses the slot's buffers
+        s.retire_stage(5);
+        s.stage_slot(8, 2).pack.pack(1, 8, 8, &a, 8);
         assert_eq!(s.grow_events(), grown, "warmed slots must not grow");
         // a warmed arena re-run with the same window allocates nothing
         s.ensure_stage_slots(3);
-        assert!(s.stage_ids.iter().all(|&id| id == u64::MAX));
-        s.stage_panel(5, 4, |b| b.resize(4, 0.0));
+        assert!(s.stages.iter().all(|t| t.stage == EMPTY));
+        s.stage_slot(5, 2).pack.pack(0, 8, 8, &a, 8);
         assert_eq!(s.grow_events(), grown);
-        assert!(s.peak_bytes() >= 3 * 4 * 8);
+        assert!(s.peak_bytes() >= 3 * 64 * 8);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "unretired stage")]
+    fn stage_slot_reuse_before_retirement_is_caught() {
+        let mut s = FactorScratch::new();
+        s.ensure_stage_slots(2);
+        s.stage_slot(3, 1);
+        s.stage_slot(5, 1);
     }
 }

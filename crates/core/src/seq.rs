@@ -17,7 +17,7 @@
 use crate::error::SolverError;
 use crate::scratch::{prep_cap, FactorScratch};
 use crate::storage::BlockMatrix;
-use crate::update::{self, LSource, UpdateTask};
+use crate::update::{self, UpdateTask};
 use splu_kernels::{dger, dtrsm_left_lower_unit, SegmentPack};
 use splu_probe::Probe;
 
@@ -422,12 +422,8 @@ pub(crate) fn update_block_with_panel(
         mine: &|_| true,
     };
     let seg = |li: usize| (&panel.lpanel[panel.lsegs[li].start as usize..], nl);
-    let src = LSource {
-        seg: &seg,
-        stacked: true,
-    };
     let u = &m.cols[j].ublocks[ub_idx].panel;
-    let started = update::gather(&task, &src, u, lpack, stats, scratch);
+    let started = update::gather(&task, &seg, u, lpack, stats, scratch);
     update::apply(&task, started, lpack, &mut m.cols[j], stats, scratch);
 }
 

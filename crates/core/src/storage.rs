@@ -113,6 +113,24 @@ impl BlockMatrix {
         pattern: Arc<BlockPattern>,
         owned: impl Fn(usize) -> bool,
     ) -> Self {
+        Self::from_csc_blocks(a, pattern, |_| true, owned)
+    }
+
+    /// One rank's share of a 2D block-cyclic mapping: the column blocks
+    /// `owned(j)` store the blocks of the row blocks `rows(i)` and nothing
+    /// else. Such a column keeps its diagonal panel when `rows(j)`, its
+    /// `L` segments of rows `rows(i)` stacked in one packed panel (leading
+    /// dimension = their total rows), and its `U` blocks `(k, j)` with
+    /// `rows(k)`. Metadata covers every column, restricted to the same
+    /// rows, so a stacked panel received from a rank holding the same
+    /// block rows reads with this layout. With `rows` always true this is
+    /// [`BlockMatrix::from_csc_filtered`].
+    pub fn from_csc_blocks(
+        a: &splu_sparse::CscMatrix,
+        pattern: Arc<BlockPattern>,
+        rows: impl Fn(usize) -> bool,
+        owned: impl Fn(usize) -> bool,
+    ) -> Self {
         let n = a.ncols();
         assert_eq!(pattern.part.n(), n);
         let block_of = Arc::new(pattern.part.block_of_index());
@@ -123,60 +141,49 @@ impl BlockMatrix {
         // (owner row block k, column indices, kind) of each U block, by column
         type USrc = (u32, Arc<Vec<u32>>, UBlockKind);
         let mut u_by_col: Vec<Vec<USrc>> = vec![Vec::new(); nb];
-        for k in 0..nb {
+        for k in (0..nb).filter(|&k| rows(k)) {
             for u in &pattern.u_blocks[k] {
                 u_by_col[u.j as usize].push((k as u32, Arc::new(u.cols.clone()), u.kind));
             }
         }
 
         let mut cols: Vec<ColBlock> = Vec::with_capacity(nb);
-        for j in 0..nb {
-            let lo = pattern.part.start(j);
+        for (j, usrc) in u_by_col.into_iter().enumerate() {
             let w = pattern.part.width(j);
-            let mut lrows: Vec<u32> = Vec::new();
-            let mut lsegs: Vec<LSeg> = Vec::new();
-            for lb in &pattern.l_blocks[j] {
-                lsegs.push(LSeg {
-                    iblock: lb.i,
-                    start: lrows.len() as u32,
-                    len: lb.rows.len() as u32,
-                });
-                lrows.extend_from_slice(&lb.rows);
-            }
+            let (lrows, lsegs) = stacked_rows(&pattern, j, &rows);
             let is_owned = owned(j);
-            let ublocks = u_by_col[j]
-                .iter()
-                .map(|(k, colsv, kind)| {
-                    let lo_k = pattern.part.start(*k as usize) as u32;
-                    let h = pattern.part.width(*k as usize) as u32;
+            let ublocks = usrc
+                .into_iter()
+                .map(|(k, cols, kind)| {
+                    let h = pattern.part.width(k as usize) as u32;
                     UBlockStore {
-                        k: *k,
-                        lo_k,
+                        k,
+                        lo_k: pattern.part.start(k as usize) as u32,
                         h,
-                        cols: colsv.clone(),
-                        kind: *kind,
                         panel: if is_owned {
-                            vec![0.0; (h as usize) * colsv.len()]
+                            vec![0.0; (h as usize) * cols.len()]
                         } else {
                             Vec::new()
                         },
+                        cols,
+                        kind,
                     }
                 })
                 .collect();
             cols.push(ColBlock {
-                lo: lo as u32,
+                lo: pattern.part.start(j) as u32,
                 w: w as u32,
-                diag: if is_owned {
+                diag: if is_owned && rows(j) {
                     vec![0.0; w * w]
                 } else {
                     Vec::new()
                 },
-                lrows: Arc::new(lrows.clone()),
                 lpanel: if is_owned {
                     vec![0.0; lrows.len() * w]
                 } else {
                     Vec::new()
                 },
+                lrows: Arc::new(lrows),
                 lsegs,
                 ublocks,
             });
@@ -188,13 +195,83 @@ impl BlockMatrix {
             block_of,
             n,
         };
-        // scatter A (owned columns only)
-        for (i, j, v) in a.iter() {
-            if owned(m.block_of(j)) {
-                m.set_entry(i, j, v);
+        // scatter A (owned columns, kept rows only)
+        for jb in (0..nb).filter(|&jb| owned(jb)) {
+            let lo = m.pattern.part.start(jb);
+            for j in lo..lo + m.pattern.part.width(jb) {
+                let (ri, vals) = a.col(j);
+                for (&i, &v) in ri.iter().zip(vals) {
+                    if rows(m.block_of(i as usize)) {
+                        m.set_entry(i as usize, j, v);
+                    }
+                }
             }
         }
         m
+    }
+
+    /// Reassemble a 2D-distributed factorization from the ranks'
+    /// shares (see [`BlockMatrix::from_csc_blocks`]): `shares[share_of(r,
+    /// j)]` holds column `j`'s blocks of the row blocks `i ≡ r (mod pr)`,
+    /// and gives its column up. At `pr = 1` a share's column is the whole
+    /// column and moves in unchanged; otherwise the diagonal and `U`
+    /// panels move and the `L` panel is built once, a column at a time,
+    /// from the shares' stacked segments.
+    pub(crate) fn from_shares(
+        pattern: Arc<BlockPattern>,
+        shares: &mut [BlockMatrix],
+        pr: usize,
+        share_of: impl Fn(usize, usize) -> usize,
+    ) -> Self {
+        let (block_of, n) = (shares[0].block_of.clone(), shares[0].n);
+        let cols = (0..pattern.nblocks())
+            .map(|j| {
+                if pr == 1 {
+                    return std::mem::take(&mut shares[share_of(0, j)].cols[j]);
+                }
+                let mut parts: Vec<ColBlock> = (0..pr)
+                    .map(|r| std::mem::take(&mut shares[share_of(r, j)].cols[j]))
+                    .collect();
+                let w = parts[0].w as usize;
+                let (lrows, lsegs) = stacked_rows(&pattern, j, &|_| true);
+                // walk each column of the panel through the segments in
+                // row order, taking each from the share that holds it
+                let mut lpanel = Vec::with_capacity(lrows.len() * w);
+                let mut next = vec![0usize; pr];
+                for c in 0..w {
+                    next.fill(0);
+                    for seg in &lsegs {
+                        let r = seg.iblock as usize % pr;
+                        let part = &parts[r];
+                        let s = &part.lsegs[next[r]];
+                        debug_assert_eq!(s.iblock, seg.iblock);
+                        next[r] += 1;
+                        let at = s.start as usize + c * part.lrows.len();
+                        lpanel.extend_from_slice(&part.lpanel[at..at + s.len as usize]);
+                    }
+                }
+                let mut ublocks: Vec<UBlockStore> = parts
+                    .iter_mut()
+                    .flat_map(|p| std::mem::take(&mut p.ublocks))
+                    .collect();
+                ublocks.sort_unstable_by_key(|u| u.k);
+                ColBlock {
+                    lo: parts[0].lo,
+                    w: w as u32,
+                    diag: std::mem::take(&mut parts[j % pr].diag),
+                    lrows: Arc::new(lrows),
+                    lpanel,
+                    lsegs,
+                    ublocks,
+                }
+            })
+            .collect();
+        Self {
+            pattern,
+            cols,
+            block_of,
+            n,
+        }
     }
 
     /// Block id of a global index.
@@ -288,6 +365,85 @@ impl BlockMatrix {
         let cb = &mut self.cols[j];
         swap_rows_in(cb, loc1, loc2);
     }
+
+    /// Copy global row `g`'s subrow in column block `j` into the
+    /// full-width `out`, which the caller zeroed: only stored positions
+    /// are written, none when the row has no storage here.
+    pub(crate) fn read_row(&self, j: usize, g: usize, out: &mut [f64]) {
+        let cb = &self.cols[j];
+        let w = cb.w as usize;
+        match self.row_loc(j, g) {
+            RowLoc::Diag(r) | RowLoc::L(r) => {
+                let (p, ld) = full_panel(cb, self.block_of(g) == j);
+                for (c, o) in out[..w].iter_mut().enumerate() {
+                    *o = p[r as usize + c * ld];
+                }
+            }
+            RowLoc::U(b, r) => {
+                let ub = &cb.ublocks[b as usize];
+                for (cp, &gc) in ub.cols.iter().enumerate() {
+                    out[(gc - cb.lo) as usize] = ub.panel[r as usize + cp * ub.h as usize];
+                }
+            }
+            RowLoc::Absent => {}
+        }
+    }
+
+    /// Write the full-width `vals` into global row `g` of column block
+    /// `j`. Positions without storage — the whole row where it has none
+    /// here — must hold zeros (the padding invariant, checked in debug
+    /// builds).
+    pub(crate) fn write_row(&mut self, j: usize, g: usize, vals: &[f64]) {
+        let diag = self.block_of(g) == j;
+        let loc = self.row_loc(j, g);
+        let cb = &mut self.cols[j];
+        let w = cb.w as usize;
+        match loc {
+            RowLoc::Diag(r) | RowLoc::L(r) => {
+                let ld = if diag { w } else { cb.lrows.len() };
+                let p = if diag { &mut cb.diag } else { &mut cb.lpanel };
+                for (c, &v) in vals[..w].iter().enumerate() {
+                    p[r as usize + c * ld] = v;
+                }
+            }
+            RowLoc::U(b, r) => {
+                let lo = cb.lo;
+                let ub = &mut cb.ublocks[b as usize];
+                let mut mask = ub.cols.iter().enumerate().peekable();
+                for (c, &v) in vals.iter().enumerate() {
+                    let gc = lo + c as u32;
+                    match mask.next_if(|&(_, &mc)| mc == gc) {
+                        Some((cp, _)) => ub.panel[r as usize + cp * ub.h as usize] = v,
+                        None => debug_assert!(v == 0.0, "nonzero outside U mask at col {gc}"),
+                    }
+                }
+            }
+            RowLoc::Absent => debug_assert!(
+                vals.iter().all(|&v| v == 0.0),
+                "nonzero row {g} into column block {j} without storage for it"
+            ),
+        }
+    }
+}
+
+/// The rows of column block `j`'s `L` segments in the row blocks `rows(i)`,
+/// stacked in ascending order, and the segments' places in that stack.
+fn stacked_rows(
+    pattern: &BlockPattern,
+    j: usize,
+    rows: &dyn Fn(usize) -> bool,
+) -> (Vec<u32>, Vec<LSeg>) {
+    let mut lrows: Vec<u32> = Vec::new();
+    let mut lsegs: Vec<LSeg> = Vec::new();
+    for lb in pattern.l_blocks[j].iter().filter(|l| rows(l.i as usize)) {
+        lsegs.push(LSeg {
+            iblock: lb.i,
+            start: lrows.len() as u32,
+            len: lb.rows.len() as u32,
+        });
+        lrows.extend_from_slice(&lb.rows);
+    }
+    (lrows, lsegs)
 }
 
 /// Full-width row view: (base pointer offset, leading dimension) for
@@ -297,6 +453,16 @@ fn full_row(cb: &ColBlock, loc: RowLoc) -> Option<(bool, usize, usize)> {
         RowLoc::Diag(r) => Some((true, r as usize, cb.w as usize)),
         RowLoc::L(r) => Some((false, r as usize, cb.lrows.len())),
         _ => None,
+    }
+}
+
+/// The diagonal panel (`diag`) or the packed `L` panel with its leading
+/// dimension.
+fn full_panel(cb: &ColBlock, diag: bool) -> (&[f64], usize) {
+    if diag {
+        (&cb.diag, cb.w as usize)
+    } else {
+        (&cb.lpanel, cb.lrows.len())
     }
 }
 

@@ -24,45 +24,26 @@ use splu_symbolic::BlockPattern;
 use std::cmp::Ordering;
 use std::time::Instant;
 
-/// Where an update reads stage `k`'s `L` segments: `seg(li)` is segment
-/// `li`'s rows (from its first row on) and leading dimension. A `stacked`
-/// source keeps consecutive segments in consecutive rows of one panel (the
-/// packed panel of the sequential and 1D codes), so small ones share calls.
-pub(crate) struct LSource<'a> {
-    pub seg: &'a dyn Fn(usize) -> (&'a [f64], usize),
-    pub stacked: bool,
-}
-
-/// Where the products of `Update(k, j)` land: the block of row block `i`
-/// in column block `j` (diagonal, `L` segment or `U` block) and its
-/// leading dimension, or `None` when the pattern has no such block (its
+/// Where the products of `Update(k, j)` land in column block `j`: the
+/// block of row block `i` (diagonal, `L` segment or `U` block) and its
+/// leading dimension, or `None` when the column has no such block (its
 /// product is then structurally zero and is dropped).
-pub(crate) trait UpdateDest {
-    fn block(&mut self, i: usize, j: usize) -> Option<(&mut [f64], usize)>;
-}
-
-/// A whole column block is the destination in the sequential and 1D codes.
-impl UpdateDest for ColBlock {
-    fn block(&mut self, i: usize, j: usize) -> Option<(&mut [f64], usize)> {
-        match i.cmp(&j) {
-            Ordering::Equal => Some((&mut self.diag, self.w as usize)),
-            Ordering::Greater => {
-                let ds = self
-                    .lsegs
-                    .binary_search_by_key(&(i as u32), |s| s.iblock)
-                    .ok()?;
-                let start = self.lsegs[ds].start as usize;
-                let ld = self.lrows.len();
-                Some((&mut self.lpanel[start..], ld))
-            }
-            Ordering::Less => {
-                let db = self
-                    .ublocks
-                    .binary_search_by_key(&(i as u32), |u| u.k)
-                    .ok()?;
-                let ub = &mut self.ublocks[db];
-                Some((&mut ub.panel, ub.h as usize))
-            }
+fn dest_block(cb: &mut ColBlock, i: usize, j: usize) -> Option<(&mut [f64], usize)> {
+    match i.cmp(&j) {
+        Ordering::Equal => Some((&mut cb.diag, cb.w as usize)),
+        Ordering::Greater => {
+            let ds = cb
+                .lsegs
+                .binary_search_by_key(&(i as u32), |s| s.iblock)
+                .ok()?;
+            let start = cb.lsegs[ds].start as usize;
+            let ld = cb.lrows.len();
+            Some((&mut cb.lpanel[start..], ld))
+        }
+        Ordering::Less => {
+            let db = cb.ublocks.binary_search_by_key(&(i as u32), |u| u.k).ok()?;
+            let ub = &mut cb.ublocks[db];
+            Some((&mut ub.panel, ub.h as usize))
         }
     }
 }
@@ -106,9 +87,15 @@ impl UpdateTask<'_> {
 /// Phase 1 of `Update(k, j)`: pack `U_kj` (`u`, ld `wk`) and the blocked
 /// segments not packed yet, and compute the small-shape products into the
 /// arena's buffer. Returns the start of the GEMM time, for [`apply`].
-pub(crate) fn gather(
+///
+/// `seg(li)` is stage `k`'s segment `li` — its rows from the first on —
+/// and leading dimension. The task's consecutive segments (those `mine`
+/// selects) sit in consecutive rows of one panel — the packed panel of the
+/// sequential and 1D codes, a 2D rank's stacked share of it — so each run
+/// of small ones is one kernel call.
+pub(crate) fn gather<'a>(
     t: &UpdateTask<'_>,
-    src: &LSource<'_>,
+    seg: &dyn Fn(usize) -> (&'a [f64], usize),
     u: &[f64],
     lpack: &mut SegmentPack,
     stats: &mut FactorStats,
@@ -126,18 +113,18 @@ pub(crate) fn gather(
     let mut row0 = 0usize;
     let mut segs = t.segs().peekable();
     while let Some((li, l)) = segs.next() {
-        let (a, lda) = (src.seg)(li);
+        let (a, lda) = seg(li);
         if t.blocked(l.rows.len()) {
             lpack.pack(li, l.rows.len(), wk, a, lda);
             continue;
         }
         // a maximal run of adjacent small segments: one stacked call
-        let (mut mrun, mut last) = (l.rows.len(), li);
-        while let Some(&(next, nl)) = segs.peek() {
-            if t.blocked(nl.rows.len()) || !src.stacked || next != last + 1 {
+        let mut mrun = l.rows.len();
+        while let Some(&(_, nl)) = segs.peek() {
+            if t.blocked(nl.rows.len()) {
                 break;
             }
-            (mrun, last) = (mrun + nl.rows.len(), next);
+            mrun += nl.rows.len();
             segs.next();
         }
         let c = &mut scratch.temp[row0..];
@@ -156,7 +143,7 @@ pub(crate) fn apply(
     t: &UpdateTask<'_>,
     started: Instant,
     lpack: &SegmentPack,
-    dest: &mut impl UpdateDest,
+    dest: &mut ColBlock,
     stats: &mut FactorStats,
     scratch: &FactorScratch,
 ) {
@@ -177,7 +164,7 @@ pub(crate) fn apply(
             let lo_i = t.pattern.part.start(i) as u32;
             let (rows, row0_i) = if i > j { (map, 0) } else { (&l.rows[..], lo_i) };
             let (cols, col0) = if i < j { (map, 0) } else { (u_cols, lo_j) };
-            let (block, ld) = dest.block(i, j).unwrap_or((&mut [], 0));
+            let (block, ld) = dest_block(dest, i, j).unwrap_or((&mut [], 0));
             let to = Scatter {
                 rows,
                 row0: row0_i,

@@ -65,9 +65,12 @@ fn factors_bitwise_identical_under_delivery_jitter() {
             &format!("par1d seed={seed:#x}"),
         );
 
-        for (pr, pc) in [(1, 2), (2, 2), (3, 2)] {
+        // (1,1): one rank holds every block; (2,1): pivot exchange across
+        // ranks, no cross-column multicast — both at W ∈ {0, 1}
+        for (pr, pc) in [(1, 2), (2, 2), (3, 2), (1, 1), (2, 1)] {
             for mode in [Sync2d::Async, Sync2d::Barrier] {
-                for w in [0usize, 1, 2] {
+                let windows: &[usize] = if pc > 1 { &[0, 1, 2] } else { &[0, 1] };
+                for &w in windows {
                     let opts = Par2dOptions {
                         run,
                         mode,

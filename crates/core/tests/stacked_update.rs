@@ -58,7 +58,9 @@ fn assert_bitwise_equal(
 /// lookahead-window range `W ∈ {0, 1, 2, 4}` (0 is the in-order
 /// schedule; larger windows must only reorder *independent* work — the
 /// per-destination ascending-stage order, and with it every bit of the
-/// factors, is invariant).
+/// factors, is invariant), and on the (1,1) grid (one rank holding every
+/// block) and the (2,1) grid (pivot exchange across ranks, no cross-column
+/// multicast) at `W ∈ {0, 1}`.
 #[test]
 fn all_drivers_bitwise_identical_across_suite() {
     for (name, a) in suite_cases() {
@@ -84,9 +86,11 @@ fn all_drivers_bitwise_identical_across_suite() {
             &format!("{name}/par1d"),
         );
 
-        for (pr, pc) in [(1, 2), (2, 2), (3, 2)] {
+        let grids = [(1, 2), (2, 2), (3, 2), (1, 1), (2, 1)];
+        for (pr, pc) in grids {
             for mode in [Sync2d::Async, Sync2d::Barrier] {
-                for w in [0usize, 1, 2, 4] {
+                let windows: &[usize] = if pc > 1 { &[0, 1, 2, 4] } else { &[0, 1] };
+                for &w in windows {
                     let opts = Par2dOptions {
                         mode,
                         window: w,

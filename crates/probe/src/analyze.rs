@@ -412,6 +412,9 @@ pub struct ReportExtras {
     pub executor_depth_p95: Option<u32>,
     /// Cost model for the message-volume comparison (`None` omits it).
     pub model: Option<CommModel>,
+    /// Seconds of one sequential factorization of the same matrix, the
+    /// base of the work inflation (`None` omits it).
+    pub seq_secs: Option<f64>,
 }
 
 impl ReportExtras {
@@ -422,6 +425,16 @@ impl ReportExtras {
 
     fn depth(&self, a: &Attribution) -> u32 {
         self.executor_depth_p95.unwrap_or(a.pipeline_depth_p95)
+    }
+
+    /// Work inflation `Σ_r busy_r / seq`: the ranks' busy time (wall time
+    /// minus pivot wait and idle, i.e. the compute categories) over one
+    /// sequential factorization. `1` means the grid does no more work
+    /// than the sequential code; above it is per-rank overhead.
+    pub fn work_inflation(&self, a: &Attribution) -> Option<f64> {
+        self.seq_secs
+            .filter(|&s| s > 0.0)
+            .map(|s| secs(a.total_work_ns) / s)
     }
 }
 
@@ -460,6 +473,10 @@ pub fn report_json(a: &Attribution, x: &ReportExtras) -> String {
     if let Some(m) = &x.model {
         let _ = writeln!(out, "  \"model_messages\": {},", m.predicted_messages());
         let _ = writeln!(out, "  \"model_bytes\": {},", m.predicted_bytes());
+    }
+    if let (Some(seq), Some(inflation)) = (x.seq_secs, x.work_inflation(a)) {
+        let _ = writeln!(out, "  \"seq_factor_secs\": {seq:.6},");
+        let _ = writeln!(out, "  \"work_inflation\": {inflation:.4},");
     }
     out.push_str("  \"attribution\": {");
     let mut first = true;
@@ -535,6 +552,15 @@ pub fn report_text(a: &Attribution, x: &ReportExtras) -> String {
         None => {
             let _ = writeln!(out, "messages: {}   bytes: {}", a.messages, a.bytes);
         }
+    }
+    if let (Some(seq), Some(inflation)) = (x.seq_secs, x.work_inflation(a)) {
+        let _ = writeln!(
+            out,
+            "work inflation: {inflation:.2}× (Σ busy {:.3} ms over {} ranks, seq factor {:.3} ms)",
+            1e3 * secs(a.total_work_ns),
+            a.ranks.len(),
+            1e3 * seq
+        );
     }
     let _ = writeln!(
         out,
@@ -832,6 +858,7 @@ mod tests {
                 stages: 1,
                 factor_entries: 10,
             }),
+            seq_secs: Some(secs(a.total_work_ns) / 2.0),
         };
         let j = report_json(&a, &x);
         let v = json::parse(&j).unwrap();
@@ -853,11 +880,16 @@ mod tests {
             "bytes",
             "model_messages",
             "model_bytes",
+            "seq_factor_secs",
+            "work_inflation",
             "attribution",
             "ranks",
         ] {
             assert!(v.get(key).is_some(), "missing key {key}");
         }
+        let inflation = v.get("work_inflation").unwrap().as_f64().unwrap();
+        assert!((inflation - 2.0).abs() < 1e-3, "Σ busy / seq: {inflation}");
+        assert!(report_text(&a, &x).contains("work inflation: 2.00×"));
         let attr = v.get("attribution").unwrap();
         for c in CATEGORIES {
             assert!(attr.get(&format!("{c}_secs")).is_some(), "missing {c}");

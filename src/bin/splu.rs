@@ -754,6 +754,7 @@ fn cmd_analyze(cli: &Cli) -> ExitCode {
             lookahead: cli.lookahead,
             executor_depth_p95: None,
             model: None,
+            seq_secs: None,
         };
         (trace, extras)
     } else {
@@ -775,6 +776,13 @@ fn cmd_analyze(cli: &Cli) -> ExitCode {
         };
         let grid = Grid::for_procs(cli.procs.unwrap_or(4));
         let solver = SparseLuSolver::analyze(&a, cli.options);
+        // one sequential factorization: the base of the work inflation
+        let t_seq = std::time::Instant::now();
+        if let Err(e) = solver.factor() {
+            eprintln!("splu: {e}");
+            return ExitCode::FAILURE;
+        }
+        let seq_secs = t_seq.elapsed().as_secs_f64();
         let collector = Collector::new();
         let r = match factor_on_grid(&solver, grid, cli, Some(&collector)) {
             Ok(r) => r,
@@ -796,6 +804,7 @@ fn cmd_analyze(cli: &Cli) -> ExitCode {
                 stages: solver.pattern.nblocks(),
                 factor_entries: solver.static_factor_nnz() as u64,
             }),
+            seq_secs: Some(seq_secs),
         };
         (trace, extras)
     };

@@ -26,6 +26,9 @@ fn analyze_sherman5_2x2() -> Analyzed {
     let spec = sstar::sparse::suite::by_name("sherman5").expect("sherman5 in the suite");
     let a = spec.build();
     let solver = SparseLuSolver::analyze(&a, FactorOptions::default());
+    let t_seq = std::time::Instant::now();
+    solver.factor().unwrap();
+    let seq_secs = t_seq.elapsed().as_secs_f64();
     let grid = Grid::new(2, 2);
     let lookahead = 1usize;
     let collector = Collector::new();
@@ -52,6 +55,7 @@ fn analyze_sherman5_2x2() -> Analyzed {
             stages: solver.pattern.nblocks(),
             factor_entries: solver.static_factor_nnz() as u64,
         }),
+        seq_secs: Some(seq_secs),
     };
     Analyzed {
         attribution,
@@ -132,6 +136,8 @@ fn sherman5_2x2_report_json_is_schema_stable() {
         "bytes",
         "model_messages",
         "model_bytes",
+        "seq_factor_secs",
+        "work_inflation",
         "attribution",
         "ranks",
     ] {
@@ -142,6 +148,10 @@ fn sherman5_2x2_report_json_is_schema_stable() {
         v.get("pipeline_depth_ok"),
         Some(Value::Bool(true))
     ));
+    // Σ_r busy_r / seq: the ranks' busy time over one sequential run
+    let inflation = v.get("work_inflation").and_then(Value::as_f64).unwrap();
+    let seq = v.get("seq_factor_secs").and_then(Value::as_f64).unwrap();
+    assert!(inflation > 0.0 && seq > 0.0);
 
     // the totals block and every rank row carry all six categories
     let attr = v.get("attribution").unwrap();
@@ -181,5 +191,6 @@ fn sherman5_2x2_report_json_is_schema_stable() {
         assert!(txt.contains(&format!("P{p}")), "missing rank {p} row");
     }
     assert!(txt.contains("bound p_c + W = 3"));
+    assert!(txt.contains("work inflation: "));
     assert!(!txt.contains("EXCEEDS"));
 }
