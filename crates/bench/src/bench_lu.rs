@@ -19,7 +19,7 @@
 //! file is well-formed and every rate is positive.
 
 use splu_core::par1d::{factor_par1d, Strategy1d};
-use splu_core::par2d::{factor_par2d_with, Par2dOptions, DEFAULT_LOOKAHEAD};
+use splu_core::par2d::{factor_par2d_with, Par2dOptions};
 use splu_core::seq::factor_sequential_with;
 use splu_core::{BlockMatrix, FactorOptions, FactorScratch, FactorStats, SparseLuSolver};
 use splu_machine::Grid;
@@ -848,20 +848,6 @@ fn render_document(matrices: Option<&str>, headline: Option<&str>, large: Option
     json
 }
 
-/// Render the measured small-suite benchmark as a full document (no
-/// large-tier section) — the historical `BENCH_lu.json` shape plus the
-/// geomean headline.
-pub fn render_json(
-    rows: &[MatrixResult],
-    prev: Option<&std::collections::HashMap<(String, String), f64>>,
-) -> String {
-    render_document(
-        Some(&matrices_json(rows, prev)),
-        Some(&headline_json(rows)),
-        None,
-    )
-}
-
 /// Extract the verbatim text of a top-level section's value (`[...]` or
 /// `{...}`) from a previously rendered document, by balanced-delimiter
 /// scan from the first occurrence of `"key": `. Sound here because the
@@ -1061,20 +1047,4 @@ pub fn run_suite(
     std::fs::write(out, json).map_err(|e| format!("write {out}: {e}"))?;
     println!("wrote {out}");
     gate()
-}
-
-/// [`run_suite`] on the small (measured) suite.
-pub fn run_opts(
-    out: &str,
-    min_secs: f64,
-    baseline: Option<&str>,
-    lookahead: usize,
-) -> Result<(), String> {
-    run_suite(out, min_secs, baseline, lookahead, SuiteSel::Small)
-}
-
-/// [`run_opts`] with the default baseline (the previous contents of
-/// `out`) and the default lookahead window.
-pub fn run(out: &str, min_secs: f64) -> Result<(), String> {
-    run_opts(out, min_secs, None, DEFAULT_LOOKAHEAD)
 }

@@ -1,68 +1,17 @@
-//! `splu-bench` — experiment harnesses reproducing the paper's tables and
-//! figures.
+//! `splu-bench` — the paper-reproduction driver and the benchmark
+//! harnesses.
 //!
-//! Each table/figure of the evaluation (§6) has a binary that regenerates
-//! it (`cargo run --release -p splu-bench --bin <name>`):
-//!
-//! | binary | reproduces |
-//! |--------|-----------|
-//! | `table1_matrices` | Table 1 — matrix statistics & overestimation ratios |
-//! | `table2_sequential` | Table 2 — sequential S\* vs baseline (+ T3D/T3E projection) |
-//! | `table3_rapid_1d` | Table 3 — 1D graph-scheduled MFLOPS, P = 2…64 |
-//! | `table4_amalgamation` | Table 4 — amalgamation improvement, P = 1…32 |
-//! | `table5_2d_t3d` | Table 5 — 2D code on large matrices (T3D model) |
-//! | `table6_2d_t3e` | Table 6 — 2D async on T3E, P = 8…128 |
-//! | `table7_async_vs_sync` | Table 7 — 2D async vs synchronous improvement |
-//! | `fig16_sched_compare` | Fig. 16 — CA vs graph scheduling |
-//! | `fig17_1d_vs_2d` | Fig. 17 — 1D RAPID vs 2D parallel time |
-//! | `fig18_load_balance` | Fig. 18 — load balance factors 1D vs 2D |
-//! | `fig_examples` | Figs. 2/4/9/11 — worked small examples |
-//! | `ablation_block_size` | block-size sweep (paper fixes 25) |
-//! | `ablation_amalgamation` | amalgamation-factor sweep (paper: r in 4..6) |
-//! | `ablation_aspect_ratio` | p_r : p_c sweep (paper: p_c/p_r = 2) |
-//! | `ablation_overlap_buffers` | Theorem 2 overlap degrees + §5.2 buffers |
-//! | `ablation_memory` | §5.2 per-processor storage & buffering, 1D vs 2D |
-//!
-//! Parallel *times* come from the discrete-event T3D/T3E machine model
-//! (`DESIGN.md` §3 — the build host exposes a single core, so wall-clock
-//! thread scaling is meaningless here; the thread backend is used for
-//! correctness and protocol/buffer instrumentation instead). MFLOPS
-//! follow the paper's formula: operation count of the SuperLU-like
-//! baseline divided by the S\* parallel time — overestimated flops are
-//! never credited.
-
-use splu_core::{FactorOptions, SparseLuSolver};
-use splu_sparse::suite::{self, MatrixSpec};
-use splu_sparse::CscMatrix;
+//! * [`repro`]: Tables 1–7, Figs. 2/4/9/11 and 16–18 and the design
+//!   ablations as one manifest, run by `splu repro [ID…]` and pinned on a
+//!   two-matrix suite by the golden test `tests/paper_golden.rs`;
+//! * [`bench_lu`]: the seq / par1d / par2d factorization record
+//!   (`splu bench-lu`, `results/BENCH_lu.json`);
+//! * [`stopwatch`]: the std-only timing harness of the `bench_kernels`
+//!   binary and the `benches/` targets.
 
 pub mod bench_lu;
+pub mod repro;
 pub mod stopwatch;
-
-/// Default shrink factor for the LARGE suite matrices so every harness
-/// finishes in minutes on a laptop-class host (printed with each table).
-pub const LARGE_SCALE: f64 = 0.25;
-
-/// Build a suite matrix at the harness's default scale.
-pub fn build_default(spec: &MatrixSpec) -> (CscMatrix, f64) {
-    let scale = if suite::LARGE.contains(&spec.name) {
-        LARGE_SCALE
-    } else {
-        1.0
-    };
-    (spec.build_scaled(scale), scale)
-}
-
-/// Analyze with the paper's defaults (block 25, r = 4, min-degree AᵀA).
-pub fn analyze_default(a: &CscMatrix) -> SparseLuSolver {
-    SparseLuSolver::analyze(a, FactorOptions::default())
-}
-
-/// Baseline op count & factor nnz: the Gilbert–Peierls factorization of
-/// the *same preprocessed matrix* (same row/column permutations the S\*
-/// pipeline factors) — the fair denominator for every ratio in the paper.
-pub fn baseline_on_permuted(solver: &SparseLuSolver) -> splu_superlu::GpLu {
-    splu_superlu::gp_factor(&solver.permuted, 1.0).expect("baseline factorization failed")
-}
 
 /// Pretty horizontal rule for table output.
 pub fn rule(width: usize) -> String {
@@ -83,28 +32,6 @@ pub fn secs(t: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_build_scales_large_only() {
-        let small = suite::by_name("jpwh991").unwrap();
-        let (a, s) = build_default(&small);
-        assert_eq!(s, 1.0);
-        assert_eq!(a.nrows(), 991);
-        let large = suite::by_name("vavasis3").unwrap();
-        let (a, s) = build_default(&large);
-        assert_eq!(s, LARGE_SCALE);
-        assert!(a.nrows() < 41092 / 2);
-    }
-
-    #[test]
-    fn baseline_runs_on_permuted_matrix() {
-        let spec = suite::by_name("jpwh991").unwrap();
-        let (a, _) = build_default(&spec);
-        let solver = analyze_default(&a);
-        let gp = baseline_on_permuted(&solver);
-        assert!(gp.flops > 0);
-        assert!(gp.factor_nnz() > a.nnz());
-    }
 
     #[test]
     fn formatting_helpers() {

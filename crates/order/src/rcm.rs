@@ -1,9 +1,9 @@
 //! Reverse Cuthill–McKee ordering (bandwidth-reducing baseline).
 //!
-//! Not used by the paper's main pipeline, but included as an ablation
-//! baseline for the ordering-strategy benchmarks: the paper's future work
-//! calls for "ordering strategies that minimize overestimation ratios", and
-//! the `ablation_ordering` harness compares natural / RCM / minimum-degree.
+//! Not used by the paper's main pipeline, but kept as a bandwidth-reducing
+//! alternative (`ColumnOrdering::ReverseCuthillMcKee`, `splu … --ordering
+//! rcm`): the paper's future work calls for "ordering strategies that
+//! minimize overestimation ratios".
 
 use splu_sparse::pattern::Pattern;
 use splu_sparse::Perm;

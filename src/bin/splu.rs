@@ -28,6 +28,13 @@
 //!                                       seq/par1d/par2d drivers; write the
 //!                                       GFLOP/s + scratch-footprint record
 //!                                       (default results/BENCH_lu.json)
+//! splu repro [ID…]                      reproduce the paper's tables, figures
+//!                                       and ablations (every experiment of
+//!                                       the manifest, or the named ids):
+//!                                       print each table, write its
+//!                                       model-only rendering (host cells
+//!                                       masked) to results/<ID>.txt; exits
+//!                                       nonzero if a checked bound broke
 //! splu loadgen [opts]                   multi-tenant load benchmark: generate
 //!                                       a seeded open-loop schedule (cold-
 //!                                       start / value-churn / pattern-reuse
@@ -93,7 +100,8 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: splu <info|factor|solve|serve|project|trace|analyze|bench-lu|loadgen> \
+        "usage: splu repro [ID...]\n       \
+         splu <info|factor|solve|serve|project|trace|analyze|bench-lu|loadgen> \
          <matrix.mtx|requests.txt|suite-name> \
          [--block-size N] [--amalgamate R] [--ordering natural|mmd|atpa|rcm] \
          [--refine N] [--lookahead W] [--procs P] [--rhs file] [--out file] \
@@ -255,7 +263,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cli, String> {
     let valid = allowed_flags(&cli.cmd).ok_or_else(|| {
         format!(
             "unknown command `{}` (expected \
-             info|factor|solve|serve|project|trace|analyze|bench-lu|loadgen)",
+             info|factor|solve|serve|project|trace|analyze|bench-lu|loadgen|repro)",
             cli.cmd
         )
     })?;
@@ -819,8 +827,53 @@ fn cmd_analyze(cli: &Cli) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// `splu repro [ID…]`: run the paper-reproduction manifest, print every
+/// table and write its model-only rendering to `results/<ID>.txt`.
+fn cmd_repro(ids: &[String]) -> ExitCode {
+    use splu_bench::repro;
+    if let Some(flag) = ids.iter().find(|a| a.starts_with('-')) {
+        eprintln!("splu: `splu repro` takes experiment ids only (got `{flag}`)");
+        return usage();
+    }
+    let experiments = match repro::select(ids) {
+        Ok(e) => e,
+        Err(e) => {
+            eprintln!("splu: {e}");
+            return usage();
+        }
+    };
+    if let Err(e) = std::fs::create_dir_all("results") {
+        eprintln!("splu: cannot create results/: {e}");
+        return ExitCode::FAILURE;
+    }
+    let ctx = repro::Ctx::default();
+    let mut broken = Vec::new();
+    for e in experiments {
+        let t = e.run(&ctx, &repro::PAPER);
+        println!("{}", t.render(true));
+        let out = format!("results/{}.txt", e.id);
+        if let Err(err) = std::fs::write(&out, t.render(false)) {
+            eprintln!("splu: cannot write {out}: {err}");
+            return ExitCode::FAILURE;
+        }
+        if t.broken {
+            broken.push(e.id);
+        }
+    }
+    if broken.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("splu: a checked bound broke in {}", broken.join(", "));
+        ExitCode::FAILURE
+    }
+}
+
 fn main() -> ExitCode {
-    let cli = match parse_args(std::env::args()) {
+    let args: Vec<String> = std::env::args().collect();
+    if args.get(1).map(String::as_str) == Some("repro") {
+        return cmd_repro(&args[2..]);
+    }
+    let cli = match parse_args(args.into_iter()) {
         Ok(cli) => cli,
         Err(e) => {
             eprintln!("splu: {e}");

@@ -1,6 +1,7 @@
 //! The `splu` binary resolves a built-in suite-matrix name wherever it
 //! takes a matrix, and rejects an unknown name with a message; `info`
-//! reports the update-shape census.
+//! reports the update-shape census; `repro` takes experiment ids only and
+//! writes the committed model-only rendering.
 
 use std::process::{Command, Output};
 
@@ -65,4 +66,36 @@ fn unknown_matrix_name_fails_with_a_message() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("cannot read no-such-matrix"), "{stderr}");
+}
+
+#[test]
+fn repro_takes_experiment_ids_only() {
+    for (args, message) in [
+        (["repro", "--all"], "experiment ids only"),
+        (["repro", "table9"], "unknown experiment `table9`"),
+    ] {
+        let out = splu(&args);
+        assert!(!out.status.success(), "splu {args:?} succeeded");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{stderr}");
+    }
+}
+
+#[test]
+fn repro_writes_the_committed_rendering() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("repro-cli");
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_splu"))
+        .args(["repro", "fig_examples"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn splu");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let fresh = std::fs::read_to_string(dir.join("results/fig_examples.txt")).unwrap();
+    let committed = include_str!("../results/fig_examples.txt");
+    assert_eq!(fresh, committed);
 }

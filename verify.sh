@@ -17,6 +17,11 @@ cargo test -q -p splu-core --test stacked_update --test delivery_jitter
 cargo test -q -p splu-core --test stacked_update --test delivery_jitter \
     --no-default-features
 
+# the paper golden tables: every `splu repro` experiment on the
+# two-matrix smoke suite, model cells byte for byte, in both configs
+cargo test -q --test paper_golden
+cargo test -q --test paper_golden --no-default-features
+
 # the benchmark (a package outside the workspace that calls the public
 # driver API) builds and passes its unit tests
 cargo build --release --manifest-path perfbench/Cargo.toml
