@@ -186,6 +186,7 @@ const K_PIVROW: u64 = 2;
 const K_LPANEL: u64 = 3;
 const K_UROW: u64 = 4;
 const K_SWAP: u64 = 5;
+const K_RETIRE: u64 = 6;
 
 fn tag(kind: u64, k: usize, x: usize, y: usize) -> u64 {
     debug_assert!(k < 1 << 20 && x < 1 << 20 && y < 1 << 20);
@@ -473,6 +474,7 @@ fn factor2d_grid(
             caches: PanelCaches::new(stage_slots),
             scratch,
             pivseqs: vec![None; nb],
+            intake: 0,
             stats: FactorStats::default(),
             intervals: Vec::new(),
             clock: &clock,
@@ -551,6 +553,7 @@ fn factor2d_grid(
                     debug_assert_eq!(applied[j], seq, "Update({k},{j}) out of stage order");
                     max_depth = max_depth.max(depth);
                     draining = deferred;
+                    me.intake_stage_rows(k, deferred);
                     me.update(k, j, deferred);
                     applied[j] += 1;
                 }
@@ -567,6 +570,8 @@ fn factor2d_grid(
                     me.scratch.retire_stage(k);
                     if opts.mode == Sync2d::Barrier {
                         me.ctx.barrier();
+                    } else {
+                        me.retire_token(k);
                     }
                 }
             }
@@ -656,6 +661,9 @@ struct Rank<'a> {
     scratch: FactorScratch,
     /// Stage `k`'s pivot sequence, once factored here or received.
     pivseqs: Vec<Option<Arc<Vec<u32>>>>,
+    /// Every stage below this one has its pivot sequence here
+    /// ([`Rank::intake_stage_rows`]).
+    intake: usize,
     stats: FactorStats,
     intervals: Vec<UpdateInterval>,
     clock: &'a AtomicU64,
@@ -927,6 +935,50 @@ impl Rank<'_> {
         }
     }
 
+    /// Consume every stage row below `k` before an update of stage `k`:
+    /// a rank enters stage `k`'s updates only once every earlier panel
+    /// has been factored, as in the paper's in-order code, where each
+    /// processor walks every stage. Without this, a grid column whose
+    /// next panels do not depend on a slow rank's column runs any number
+    /// of stages ahead of it, and Theorem 2's `p_c + W` bound fails under
+    /// preemption. The grid column's own panels were factored here before
+    /// any of this update's ops. Waits count as in
+    /// [`Rank::await_stage_row`].
+    fn intake_stage_rows(&mut self, k: usize, deferred: bool) {
+        while self.intake < k {
+            let s = self.intake;
+            debug_assert!(
+                s % self.st.grid.pc != self.st.cno || self.pivseqs[s].is_some(),
+                "own panel {s} not factored before an update of stage {k}"
+            );
+            self.await_stage_row(s, deferred);
+            self.intake += 1;
+        }
+    }
+
+    /// Stage `k`'s retirement token down the grid column: the owner of
+    /// block row `k` sends it at its `Retire(k)`, every other rank of the
+    /// column waits for it at its own. A rank past `Retire(k)` therefore
+    /// knows the row owner finished all of stage `k`'s updates, which is
+    /// the in-column dependency Theorem 2's `min(p_r − 1, p_c)` argument
+    /// uses (the `U`-row multicast carries it only for stages with `U`
+    /// blocks in the column).
+    fn retire_token(&mut self, k: usize) {
+        let grid = self.st.grid;
+        if grid.pr == 1 {
+            return;
+        }
+        let t = tag(K_RETIRE, k, 0, 0);
+        if self.st.rno == k % grid.pr {
+            let (ints, floats) = (self.ctx.ints_buf(), self.ctx.floats_buf());
+            self.ctx
+                .multicast(grid.my_col(self.ctx.rank), Message::new(t, ints, floats));
+        } else {
+            let m = self.ctx.recv(t);
+            self.ctx.recycle(m);
+        }
+    }
+
     /// Stage-`k` delayed row interchanges across a batch of owned column
     /// blocks (Fig. 14's ScaleSwap, stage-batched): every rank of the grid
     /// column walks the same `(t)` order; an interchange whose two rows live
@@ -1126,11 +1178,10 @@ impl Rank<'_> {
             start,
             end,
         };
-        // my destination row blocks: my segments of column k
+        // my destination row blocks: my segments of column k. With none,
+        // this rank processes nothing of the update and records no
+        // interval (it did not wait for stage `k`'s panel either).
         if self.st.m.cols[k].lsegs.is_empty() {
-            let start = clock.fetch_add(1, Ordering::Relaxed);
-            let end = clock.fetch_add(1, Ordering::Relaxed);
-            self.intervals.push(interval(start, end));
             return;
         }
         let pattern = self.st.m.pattern.clone();
@@ -1442,13 +1493,14 @@ mod tests {
     #[test]
     fn communication_volume_counted() {
         // the protocol's exact (messages, bytes): the rank storage layout
-        // must not change a message
+        // must not change a message. With p_r > 1 each of the 9 stages
+        // adds one empty retirement token per grid column.
         let a = gen::grid2d(7, 7, 0.3, ValueModel::default());
         let pattern = pattern_for(&a, 4, 6);
         for ((pr, pc), comm) in [
             ((1, 2), (9, 4836)),
-            ((2, 1), (131, 12416)),
-            ((2, 2), (161, 17448)),
+            ((2, 1), (131 + 9, 12416)),
+            ((2, 2), (161 + 2 * 9, 17448)),
         ] {
             let par = factor_par2d(&a, pattern.clone(), Grid::new(pr, pc), Sync2d::Async);
             assert_eq!(par.comm, comm, "{pr}x{pc}");
