@@ -471,41 +471,45 @@ pub fn parse_rates(text: &str) -> Option<std::collections::HashMap<(String, Stri
 /// parsed from an earlier `BENCH_lu.json`. Matrices recorded before the
 /// attribution block (or with `probe` off) are simply absent.
 pub fn parse_pivot_wait_shares(text: &str) -> Option<std::collections::HashMap<String, f64>> {
-    let v = splu_probe::json::parse(text).ok()?;
-    if v.get("bench")?.as_str()? != "lu_factor" {
-        return None;
-    }
-    let mut map = std::collections::HashMap::new();
-    for m in v.get("matrices")?.items()? {
-        let name = m.get("name")?.as_str()?;
-        if let Some(share) = m
-            .get("par2d_attribution")
-            .and_then(|a| a.get("pivot_wait_share"))
-            .and_then(|s| s.as_f64())
-        {
-            map.insert(name.to_string(), share);
-        }
-    }
-    Some(map)
+    parse_per_name(
+        text,
+        &["matrices"],
+        ["par2d_attribution", "pivot_wait_share"],
+    )
 }
 
 /// Previous-record large-tier task-DAG speedups: `matrix →
 /// speedup_vs_seq.par2d_taskdag`. Absent for records written before the
 /// large tier existed.
 pub fn parse_large_speedups(text: &str) -> Option<std::collections::HashMap<String, f64>> {
+    parse_per_name(
+        text,
+        &["large_suite", "cases"],
+        ["speedup_vs_seq", "par2d_taskdag"],
+    )
+}
+
+/// `name → value` over the items at `list` of an earlier
+/// `BENCH_lu.json`, the value read at `path` inside each item; items
+/// without it are absent.
+fn parse_per_name(
+    text: &str,
+    list: &[&str],
+    path: [&str; 2],
+) -> Option<std::collections::HashMap<String, f64>> {
     let v = splu_probe::json::parse(text).ok()?;
     if v.get("bench")?.as_str()? != "lu_factor" {
         return None;
     }
     let mut map = std::collections::HashMap::new();
-    for c in v.get("large_suite")?.get("cases")?.items()? {
-        let name = c.get("name")?.as_str()?;
-        if let Some(s) = c
-            .get("speedup_vs_seq")
-            .and_then(|s| s.get("par2d_taskdag"))
-            .and_then(|s| s.as_f64())
+    for m in list.iter().try_fold(&v, |o, key| o.get(key))?.items()? {
+        let name = m.get("name")?.as_str()?;
+        if let Some(x) = m
+            .get(path[0])
+            .and_then(|o| o.get(path[1]))
+            .and_then(|x| x.as_f64())
         {
-            map.insert(name.to_string(), s);
+            map.insert(name.to_string(), x);
         }
     }
     Some(map)
@@ -517,6 +521,15 @@ pub fn parse_headline(text: &str) -> Option<(f64, f64)> {
     let v = splu_probe::json::parse(text).ok()?;
     let h = v.get("headline")?.get("geomean_speedup_vs_seq")?;
     Some((h.get("par1d")?.as_f64()?, h.get("par2d")?.as_f64()?))
+}
+
+/// `Ok` when `failures` is empty, else one `{what} regression` error
+/// that lists them.
+fn regression(what: &str, failures: Vec<String>) -> Result<(), String> {
+    if failures.is_empty() {
+        return Ok(());
+    }
+    Err(format!("{what} regression:\n  {}", failures.join("\n  ")))
 }
 
 /// Gate the fresh large-tier record. Two conditions:
@@ -556,14 +569,7 @@ pub fn gate_large(
             }
         }
     }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(format!(
-            "large-suite regression:\n  {}",
-            failures.join("\n  ")
-        ))
-    }
+    regression("large-suite", failures)
 }
 
 /// Gate the fresh small-suite headline against the recorded one: either
@@ -587,11 +593,7 @@ pub fn gate_headline(
             ));
         }
     }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("headline regression:\n  {}", failures.join("\n  ")))
-    }
+    regression("headline", failures)
 }
 
 /// Gate the fresh attribution against a previous record: the pivot-wait
@@ -617,14 +619,7 @@ pub fn gate_attribution_against(
             ));
         }
     }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(format!(
-            "wait-time regression:\n  {}",
-            failures.join("\n  ")
-        ))
-    }
+    regression("wait-time", failures)
 }
 
 fn breakdown_json(b: &UpdateBreakdown) -> String {
@@ -910,14 +905,7 @@ pub fn gate_against(
             }
         }
     }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(format!(
-            "benchmark regression:\n  {}",
-            failures.join("\n  ")
-        ))
-    }
+    regression("benchmark", failures)
 }
 
 /// Run the selected suite and write `out`, comparing against the

@@ -773,3 +773,23 @@ pub static MANIFEST: &[Experiment] = &[
                 column (in-col vs its bound); peak buffers are the same order as the\n\
                 paper's 2.5·n·BSIZE·s estimate (both < 100K words here)." },
 ];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn paper_preparation_scales_large_only() {
+        assert_eq!(paper_scale("jpwh991"), 1.0);
+        assert_eq!(paper_scale("vavasis3"), LARGE_SCALE);
+        let vavasis3 = suite::by_name("vavasis3").unwrap();
+        assert!(vavasis3.build_scaled(paper_scale("vavasis3")).nrows() < 41092 / 2);
+        let ctx = Ctx::default();
+        assert!(ctx.paper("goodwin").a.nrows() < 7320 / 2);
+        let small = ctx.paper("jpwh991");
+        assert_eq!(small.a.nrows(), 991);
+        // the baseline factors the preprocessed matrix S* factors
+        let gp = small.baseline();
+        assert!(gp.flops > 0 && gp.nnz > small.a.nnz());
+    }
+}

@@ -386,6 +386,11 @@ pub struct Par2dOptions<'a> {
     /// Lookahead window `W` (`0` = the strict in-order schedule of
     /// Fig. 12 and Theorem 2).
     pub window: usize,
+    /// Test hook: rank `.0` sleeps `.1` inside each of its updates, a
+    /// slow or preempted processor, so that a lost stage dependency
+    /// breaks Theorem 2's bounds on every run instead of under host load.
+    #[cfg(test)]
+    pub(crate) stall: Option<(usize, std::time::Duration)>,
 }
 
 impl Default for Par2dOptions<'_> {
@@ -395,6 +400,8 @@ impl Default for Par2dOptions<'_> {
             mode: Sync2d::Async,
             threshold: 1.0,
             window: DEFAULT_LOOKAHEAD,
+            #[cfg(test)]
+            stall: None,
         }
     }
 }
@@ -468,6 +475,8 @@ fn factor2d_grid(
         let st = Store2d::new(a, pattern.clone(), grid, ctx.rank);
         let mut scratch = FactorScratch::new();
         scratch.ensure_stage_slots(stage_slots);
+        #[cfg(test)]
+        let stall = opts.stall.filter(|s| s.0 == ctx.rank).map(|s| s.1);
         let mut me = Rank {
             ctx,
             st,
@@ -478,6 +487,8 @@ fn factor2d_grid(
             stats: FactorStats::default(),
             intervals: Vec::new(),
             clock: &clock,
+            #[cfg(test)]
+            stall,
         };
 
         if me.ctx.rank == 0 {
@@ -667,6 +678,9 @@ struct Rank<'a> {
     stats: FactorStats,
     intervals: Vec<UpdateInterval>,
     clock: &'a AtomicU64,
+    /// [`Par2dOptions::stall`]'s sleep, on the stalled rank.
+    #[cfg(test)]
+    stall: Option<std::time::Duration>,
 }
 
 impl Rank<'_> {
@@ -1178,10 +1192,11 @@ impl Rank<'_> {
             start,
             end,
         };
-        // my destination row blocks: my segments of column k. With none,
-        // this rank processes nothing of the update and records no
-        // interval (it did not wait for stage `k`'s panel either).
+        // my destination row blocks: my segments of column k
         if self.st.m.cols[k].lsegs.is_empty() {
+            let start = clock.fetch_add(1, Ordering::Relaxed);
+            let end = clock.fetch_add(1, Ordering::Relaxed);
+            self.intervals.push(interval(start, end));
             return;
         }
         let pattern = self.st.m.pattern.clone();
@@ -1227,6 +1242,10 @@ impl Rank<'_> {
         }
         let span_start = self.ctx.probe().now();
         let start = clock.fetch_add(1, Ordering::Relaxed);
+        #[cfg(test)]
+        if let Some(d) = self.stall {
+            std::thread::sleep(d);
+        }
         self.stats.scatter_map_reuse_hits += 1;
 
         // the remote payloads: read in place, kept alive through the gather
@@ -1418,6 +1437,44 @@ mod tests {
                 "overlap degree {d} exceeds generalized bound p_c + W = {}",
                 grid.pc + w
             );
+        }
+    }
+
+    #[test]
+    fn a_stalled_rank_keeps_theorem2_bounds() {
+        // rank 0 sleeps 1 ms in each of its updates, a slow processor: the
+        // others must still wait at the stage dependencies of the paper's
+        // in-order code, so both bounds hold (p_c + W machine-wide,
+        // min(p_r − 1, p_c) + W within a grid column). The dependencies
+        // make the bounds hold under every interleaving; the sleep only
+        // makes the interleaving that breaks them without the
+        // dependencies happen on every run, in every case below.
+        let a = splu_sparse::suite::by_name("orsreg1")
+            .expect("suite matrix")
+            .build_scaled(0.25);
+        let solver = crate::SparseLuSolver::analyze(&a, crate::FactorOptions::default());
+        let stall = Some((0, std::time::Duration::from_millis(1)));
+        for (pr, pc, window) in [(2, 3, 0), (2, 4, 0), (2, 3, 2), (3, 2, 4)] {
+            let opts = Par2dOptions {
+                window,
+                stall,
+                ..Par2dOptions::default()
+            };
+            let (a, pattern, grid) = (&solver.permuted, solver.pattern.clone(), Grid::new(pr, pc));
+            let par = factor_par2d_with(a, pattern, grid, &opts).unwrap();
+            let d = par.overlap_degree() as usize;
+            assert!(
+                d <= pc + window,
+                "overlap {d} > p_c + W on {pr}x{pc}, W = {window}"
+            );
+            for c in 0..pc as u32 {
+                let d = par.overlap_degree_within_col(c) as usize;
+                let bound = (pr - 1).min(pc) + window;
+                assert!(
+                    d <= bound,
+                    "in-column overlap {d} > {bound} on {pr}x{pc}, W = {window}"
+                );
+            }
         }
     }
 
