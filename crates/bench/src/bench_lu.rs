@@ -406,12 +406,14 @@ pub fn bench_large_matrix(name: &'static str) -> LargeMatrixResult {
 
     let spec = suite::by_name(name).unwrap_or_else(|| panic!("unknown suite matrix `{name}`"));
     let a = spec.build();
-    let opts = FactorOptions::default();
+    // The paper's (BSIZE, r), as `splu repro` pins them: this tier is a
+    // T3E model, so it keeps the paper's blocking, not the library default.
+    let (bsize, r) = (25, 4);
     let t0 = Instant::now();
     let (permuted, _, _) = splu_order::preprocess(&a, splu_order::ColumnOrdering::Natural);
     let s = static_symbolic_factorization(&permuted);
-    let base = partition_supernodes(&s, opts.block_size);
-    let part = amalgamate(&s, &base, opts.amalgamation, opts.block_size);
+    let base = partition_supernodes(&s, bsize);
+    let part = amalgamate(&s, &base, r, bsize);
     let bp = Arc::new(BlockPattern::build_structural(&s, &part));
     let g = TaskGraph::build(&bp);
     let parent = block_etree(&bp);

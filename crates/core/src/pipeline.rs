@@ -26,9 +26,22 @@ use std::sync::Arc;
 /// Tuning knobs for the factorization pipeline.
 #[derive(Debug, Clone, Copy)]
 pub struct FactorOptions {
-    /// Maximum supernode/block width (the paper uses 25).
+    /// Maximum supernode/block width. The default, 32, was picked from a
+    /// measured width sweep on this library's kernels (EXPERIMENTS.md,
+    /// "Supernode width from the measured curve"): a wider cap issues
+    /// fewer, larger update products. 32 is the widest cap at which every
+    /// matrix of the suite smoke tests still does at least 30 % of its
+    /// factorization flops in DGEMM: consecutive amalgamation welds a band into cap-wide
+    /// blocks, so on the banded af23560 a wider cap moves the work into
+    /// the BLAS-2 panel factorization `Factor(k)` and multiplies its
+    /// flops (2.5× at 64, 6.4× at 128). The paper's BSIZE is 25, chosen
+    /// to balance BLAS-3 efficiency against 2D parallelism on the
+    /// T3D/T3E; the paper-reproduction paths (`splu repro`, `bench-lu`'s
+    /// modeled large tier) pin it.
     pub block_size: usize,
     /// Amalgamation factor `r` (the paper finds 4–6 best; 0 disables).
+    /// The default 4 was level with every `r` in 2–12 in the same sweep;
+    /// `r = 0` is slower.
     pub amalgamation: usize,
     /// Column ordering strategy (the paper: minimum degree on `AᵀA`).
     pub ordering: ColumnOrdering,
@@ -48,7 +61,7 @@ pub struct FactorOptions {
 impl Default for FactorOptions {
     fn default() -> Self {
         Self {
-            block_size: 25,
+            block_size: 32,
             amalgamation: 4,
             ordering: ColumnOrdering::MinDegreeAtA,
             pivot_threshold: 1.0,

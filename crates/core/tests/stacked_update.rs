@@ -86,33 +86,75 @@ fn all_drivers_bitwise_identical_across_suite() {
             &format!("{name}/par1d"),
         );
 
-        let grids = [(1, 2), (2, 2), (3, 2), (1, 1), (2, 1)];
-        for (pr, pc) in grids {
-            for mode in [Sync2d::Async, Sync2d::Barrier] {
-                let windows: &[usize] = if pc > 1 { &[0, 1, 2, 4] } else { &[0, 1] };
-                for &w in windows {
-                    let opts = Par2dOptions {
-                        mode,
-                        window: w,
-                        ..Par2dOptions::default()
-                    };
-                    let p2 = factor_par2d_with(
-                        &solver.permuted,
-                        solver.pattern.clone(),
-                        Grid::new(pr, pc),
-                        &opts,
-                    )
-                    .unwrap();
-                    assert_bitwise_equal(
-                        &seq,
-                        &seq_piv,
-                        &p2.blocks,
-                        &p2.pivots,
-                        &format!("{name}/par2d {pr}x{pc} {mode:?} W={w}"),
-                    );
-                }
-            }
+        for (pr, pc) in [(1, 2), (2, 2), (3, 2), (1, 1), (2, 1)] {
+            let windows: &[usize] = if pc > 1 { &[0, 1, 2, 4] } else { &[0, 1] };
+            assert_par2d_matches_seq(name, &solver, &seq, &seq_piv, Grid::new(pr, pc), windows);
         }
+    }
+}
+
+/// `factor_par2d_with` on `grid` reproduces `seq` bitwise in both
+/// synchronization modes at every lookahead window of `windows`.
+fn assert_par2d_matches_seq(
+    name: &str,
+    solver: &SparseLuSolver,
+    seq: &BlockMatrix,
+    seq_piv: &[Vec<u32>],
+    grid: Grid,
+    windows: &[usize],
+) {
+    for mode in [Sync2d::Async, Sync2d::Barrier] {
+        for &w in windows {
+            let opts = Par2dOptions {
+                mode,
+                window: w,
+                ..Par2dOptions::default()
+            };
+            let p2 =
+                factor_par2d_with(&solver.permuted, solver.pattern.clone(), grid, &opts).unwrap();
+            let (pr, pc) = (grid.pr, grid.pc);
+            assert_bitwise_equal(
+                seq,
+                seq_piv,
+                &p2.blocks,
+                &p2.pivots,
+                &format!("{name}/par2d {pr}x{pc} {mode:?} W={w}"),
+            );
+        }
+    }
+}
+
+/// Supernodes wider than the blocked triangular solve's 48-row tile
+/// (`splu_kernels::blas3`'s `TB`) keep every driver bitwise identical to
+/// seq: par1d, and par2d on the 1×2, 2×1 and 2×2 grids in both
+/// synchronization modes at `W ∈ {0, 1}`. The default cap (32) stays
+/// below the tile, so the case takes a cap of 128, which any caller may.
+#[test]
+fn wide_supernodes_bitwise_identical_across_drivers() {
+    const TB: usize = 48;
+    // three supernodes wider than TB at this cap, one at it
+    let a = suite::by_name("lns3937").unwrap().build_scaled(0.1);
+    let opts = FactorOptions {
+        block_size: 128,
+        ..FactorOptions::default()
+    };
+    let solver = SparseLuSolver::analyze(&a, opts);
+    let part = &solver.pattern.part;
+    let widths: Vec<usize> = (0..part.nblocks()).map(|b| part.width(b)).collect();
+    assert_eq!(widths.iter().filter(|&&w| w > TB).count(), 3, "{widths:?}");
+    assert_eq!(widths.iter().max(), Some(&128));
+
+    let mut seq = BlockMatrix::from_csc(&solver.permuted, solver.pattern.clone());
+    let (seq_piv, _) = factor_sequential(&mut seq).unwrap();
+    let p1 = factor_par1d(
+        &solver.permuted,
+        solver.pattern.clone(),
+        2,
+        Strategy1d::ComputeAhead,
+    );
+    assert_bitwise_equal(&seq, &seq_piv, &p1.blocks, &p1.pivots, "wide/par1d");
+    for (pr, pc) in [(1, 2), (2, 1), (2, 2)] {
+        assert_par2d_matches_seq("wide", &solver, &seq, &seq_piv, Grid::new(pr, pc), &[0, 1]);
     }
 }
 

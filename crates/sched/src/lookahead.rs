@@ -52,8 +52,9 @@ pub enum Op2d {
     Trsm { k: u32, j: u32 },
     /// `Update2D(k, j)`: apply stage `k`'s outer product to owned column
     /// `j`. `deferred` marks trailing updates pushed behind at least one
-    /// later panel factorization; `depth` is the number of stages in
-    /// flight (factored or draining, unretired) when the op runs.
+    /// later panel factorization (never a priority-chain link into the
+    /// next pivot column); `depth` is the number of stages in flight
+    /// (factored or draining, unretired) when the op runs.
     Update {
         k: u32,
         j: u32,
@@ -120,11 +121,13 @@ pub fn lookahead_schedule(graph: &TaskGraph, pc: usize, cno: usize, window: usiz
             });
         }
         swapped[j] = false;
+        // a chain link *is* the critical path (it feeds the next panel),
+        // never deferred work, however many stages are in flight
         ops.push(Op2d::Update {
             k: k as u32,
             j: j as u32,
             seq,
-            deferred: depth > 1,
+            deferred: false,
             depth: depth as u32,
         });
         next[j] += 1;
@@ -404,6 +407,50 @@ mod tests {
                 .any(|op| matches!(op, Op2d::Update { depth, .. } if *depth >= 2));
             assert!(deferred > 0, "W=2 deferred nothing on column {cno}");
             assert!(depth2, "W=2 never had two stages in flight");
+        }
+    }
+
+    /// The priority chain into the next pivot column is the critical
+    /// path at every window: its links keep their pipeline depth but are
+    /// never marked deferred, so the executor charges their operand waits
+    /// to the panel. At `W = 1` the chain runs two stages ahead of the
+    /// drain frontier; at `W = 2` trailing updates are still deferred.
+    #[test]
+    fn chain_links_are_never_deferred() {
+        let (g, pc) = graph_for(2);
+        for cno in 0..pc {
+            let ops = lookahead_schedule(&g, pc, cno, 1);
+            // a chain link into column `j` is followed only by further
+            // links into `j` and then `Factor(j)`; a stage batch's updates
+            // end at their `Retire`
+            let mut chain_links = 0;
+            let mut deep_links = 0;
+            for (i, op) in ops.iter().enumerate() {
+                if let Op2d::Update {
+                    j, deferred, depth, ..
+                } = *op
+                {
+                    let into_j = |o: &&Op2d| match **o {
+                        Op2d::Swap { j: d, .. }
+                        | Op2d::Trsm { j: d, .. }
+                        | Op2d::Update { j: d, .. } => d == j,
+                        _ => false,
+                    };
+                    let after = ops[i + 1..].iter().find(|o| !into_j(o));
+                    if matches!(after, Some(Op2d::Factor { k, .. }) if *k == j) {
+                        assert!(!deferred, "W=1: chain link into {j} marked deferred");
+                        chain_links += 1;
+                        deep_links += usize::from(depth >= 2);
+                    }
+                }
+            }
+            assert!(chain_links > 0, "W=1 issued no chain links on column {cno}");
+            assert!(deep_links > 0, "W=1 chain links never ran two stages deep");
+            let deferred = lookahead_schedule(&g, pc, cno, 2)
+                .iter()
+                .filter(|op| matches!(op, Op2d::Update { deferred: true, .. }))
+                .count();
+            assert!(deferred > 0, "W=2 deferred nothing on column {cno}");
         }
     }
 

@@ -379,6 +379,42 @@ impl BlockPattern {
         }
         c
     }
+
+    /// The supernode-width census against the width cap `cap`
+    /// (`FactorOptions::block_size`): the widest block, the blocks the
+    /// cap cut to exactly `cap` columns, and the update flops those
+    /// blocks issue as sources.
+    pub fn width_census(&self, cap: usize) -> WidthCensus {
+        let mut c = WidthCensus::default();
+        let mut total = 0u64;
+        for k in 0..self.nblocks() {
+            let wk = self.part.width(k);
+            let lrows: u64 = self.l_blocks[k].iter().map(|l| l.rows.len() as u64).sum();
+            let ucols: u64 = self.u_blocks[k].iter().map(|u| u.cols.len() as u64).sum();
+            let flops = 2 * lrows * ucols * wk as u64;
+            total += flops;
+            c.max_width = c.max_width.max(wk);
+            if wk == cap {
+                c.at_cap += 1;
+                c.at_cap_flops += flops;
+            }
+        }
+        c.at_cap_flop_share = c.at_cap_flops as f64 / total.max(1) as f64;
+        c
+    }
+}
+
+/// Supernode widths against the width cap ([`BlockPattern::width_census`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct WidthCensus {
+    /// The widest block.
+    pub max_width: usize,
+    /// Blocks exactly as wide as the cap.
+    pub at_cap: usize,
+    /// Update flops issued by the blocks at the cap.
+    pub at_cap_flops: u64,
+    /// Their share of all update flops.
+    pub at_cap_flop_share: f64,
 }
 
 /// Shape census of the update products one sequential factorization
@@ -631,6 +667,24 @@ mod tests {
             }
         }
         assert_eq!(entries, bp.scatter_map_entries());
+    }
+
+    #[test]
+    fn width_census_splits_the_update_flops_at_the_cap() {
+        let a = gen::grid2d(12, 12, 0.3, ValueModel::default());
+        let (_s, bp) = build(&a, 4);
+        let all = bp.update_shapes().flops;
+        let widths: Vec<usize> = (0..bp.nblocks()).map(|b| bp.part.width(b)).collect();
+        let widest = *widths.iter().max().unwrap();
+        let c = bp.width_census(widest);
+        assert_eq!(c.max_width, widest);
+        assert_eq!(c.at_cap, widths.iter().filter(|&&w| w == widest).count());
+        assert!(c.at_cap_flops <= all);
+        // a cap no block reaches cuts nothing; summed over every width,
+        // the per-width flops are the census's total
+        assert_eq!(bp.width_census(widest + 1).at_cap, 0);
+        let summed: u64 = (1..=widest).map(|w| bp.width_census(w).at_cap_flops).sum();
+        assert_eq!(summed, all);
     }
 
     #[test]

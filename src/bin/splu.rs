@@ -45,7 +45,7 @@
 //!
 //! options (each subcommand accepts its own subset; an unknown flag
 //! error names the flag and lists the valid ones):
-//!   --block-size N     max supernode width        (default 25)
+//!   --block-size N     max supernode width        (default 32; the paper's 25)
 //!   --amalgamate R     amalgamation factor        (default 4)
 //!   --ordering X       natural | mmd | atpa | rcm (default mmd)
 //!   --refine N         iterative refinement steps (default 1, solve only)
@@ -942,6 +942,14 @@ fn main() -> ExitCode {
                 "supernodes: {} (avg width {:.2})",
                 solver.pattern.nblocks(),
                 solver.pattern.part.avg_width()
+            );
+            let widths = solver.pattern.width_census(cli.options.block_size);
+            println!(
+                "supernode widths: max {} (cap {}), {} blocks at the cap, {:.1} % of update flops",
+                widths.max_width,
+                cli.options.block_size,
+                widths.at_cap,
+                100.0 * widths.at_cap_flop_share
             );
             println!(
                 "block storage (padding incl.): {} entries",

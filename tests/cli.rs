@@ -1,7 +1,7 @@
 //! The `splu` binary resolves a built-in suite-matrix name wherever it
 //! takes a matrix, and rejects an unknown name with a message; `info`
-//! reports the update-shape census; `repro` takes experiment ids only and
-//! writes the committed model-only rendering.
+//! reports the update-shape and supernode-width censuses; `repro` takes
+//! experiment ids only and writes the committed model-only rendering.
 
 use std::process::{Command, Output};
 
@@ -52,6 +52,42 @@ fn info_prints_the_update_shape_census() {
         .and_then(|v| v.parse().ok())
         .unwrap_or_else(|| panic!("{packed}"));
     assert!(elems > 0, "{packed}");
+}
+
+#[test]
+fn info_prints_the_supernode_width_census() {
+    // `supernode widths: max W (cap C), B blocks at the cap, S % of update flops`
+    let census = |args: &[&str]| -> (usize, usize, usize, f64) {
+        let stdout = assert_success(args);
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with("supernode widths:"))
+            .unwrap_or_else(|| panic!("no width census in {stdout}"))
+            .to_string();
+        let nums: Vec<f64> = line
+            .split(|c: char| !(c.is_ascii_digit() || c == '.'))
+            .filter_map(|t| t.parse().ok())
+            .collect();
+        assert_eq!(nums.len(), 4, "{line}");
+        (
+            nums[0] as usize,
+            nums[1] as usize,
+            nums[2] as usize,
+            nums[3],
+        )
+    };
+    let default_cap = sstar::core::FactorOptions::default().block_size;
+    let (max, cap, _, share) = census(&["info", "sherman5"]);
+    assert_eq!(cap, default_cap);
+    assert!(max <= cap && (0.0..=100.0).contains(&share));
+    // a cap of 8 cuts many of sherman5's supernodes, and they carry
+    // update work
+    let (max, cap, at_cap, share) = census(&["info", "sherman5", "--block-size", "8"]);
+    assert_eq!((max, cap), (8, 8));
+    assert!(
+        at_cap > 0 && share > 0.0 && share <= 100.0,
+        "{at_cap} {share}"
+    );
 }
 
 #[test]

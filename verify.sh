@@ -12,7 +12,8 @@ cargo test -q --workspace
 cargo test -q --workspace --no-default-features
 
 # the bitwise-identity suites (every grid × sync mode × lookahead
-# window, plus adversarial delivery jitter) in both feature configs
+# window, supernodes wider than the 48-row TRSM tile, plus adversarial
+# delivery jitter) in both feature configs
 cargo test -q -p splu-core --test stacked_update --test delivery_jitter
 cargo test -q -p splu-core --test stacked_update --test delivery_jitter \
     --no-default-features
