@@ -164,6 +164,8 @@ impl Prep {
         let a = spec.build_scaled(scale);
         let mut opts = FactorOptions::default();
         (opts.block_size, opts.amalgamation) = (bsize, r);
+        // S*'s host time (Table 2) is the sequential code's
+        opts.cores = 1;
         let solver = SparseLuSolver::analyze(&a, opts);
         let (gp, graph, pt) = Default::default();
         Prep {

@@ -9,7 +9,10 @@
 //! steady-state factorization performs zero heap allocations per panel.
 //! (Scatter
 //! position maps are not scratch at all anymore: they are precomputed
-//! once in `splu_symbolic::BlockPattern` and read in place.)
+//! once in `splu_symbolic::BlockPattern` and read in place.) When the one
+//! factor entry point runs the 2D engine, the caller's arena also keeps
+//! the engine's plan — its schedules and one arena per rank — for the
+//! next factorization of the same pattern on the same grid.
 //!
 //! The proof mechanism: [`FactorScratch::grow_events`] counts every
 //! capacity increase. Drivers report it through the `scratch_grow_events`
@@ -55,6 +58,9 @@ pub struct FactorScratch {
     /// (swapping it in and out of the matrix allocates nothing).
     pub(crate) dummy: crate::storage::ColBlock,
     pub(crate) grow_events: u64,
+    /// The 2D engine's plan and per-rank arenas, when this arena last
+    /// served a 2D factorization (see `par2d::factor_par2d_reusing`).
+    pub(crate) plan2d: Option<Box<crate::par2d::Plan2d>>,
 }
 
 impl FactorScratch {

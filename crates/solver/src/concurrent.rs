@@ -458,7 +458,10 @@ impl ConcurrentService {
             flights: Mutex::new(HashMap::new()),
             spec_done: Mutex::new(HashSet::new()),
             ahead: AheadCounters::new(),
-            options: config.options,
+            options: FactorOptions {
+                cores: worker_core_budget(config.options.cores, config.factor_workers),
+                ..config.options
+            },
             metrics: Arc::clone(&metrics),
             intervals: Mutex::new(Vec::new()),
             failed: Mutex::new(Vec::new()),
@@ -691,6 +694,13 @@ impl ConcurrentService {
     }
 }
 
+/// Core budget of one factor worker: the service's budget shared by its
+/// `workers` concurrent factorizations, at least 1, so that concurrent
+/// cold starts never ask for more threads than there are cores.
+fn worker_core_budget(cores: usize, workers: usize) -> usize {
+    (cores / workers.max(1)).max(1)
+}
+
 /// Factor task body: compute (or find) the factorization for the
 /// flight's key, publish the result, and dispatch parked solves.
 fn run_flight(
@@ -794,6 +804,24 @@ mod tests {
             solve_workers: 2,
             shards,
             ..ConcurrentConfig::default()
+        }
+    }
+
+    #[test]
+    fn factor_workers_share_the_core_budget() {
+        assert_eq!(worker_core_budget(2, 12), 1);
+        assert_eq!(worker_core_budget(8, 4), 2);
+        assert_eq!(worker_core_budget(8, 3), 2);
+        assert_eq!(worker_core_budget(2, 1), 2);
+        assert_eq!(worker_core_budget(1, 0), 1);
+        // the service hands every flight the per-worker budget: 12
+        // workers on 2 cores factor sequentially, one worker gets both
+        for (cores, workers, budget) in [(2, 12, 1), (2, 1, 2), (16, 4, 4)] {
+            let mut cfg = config(workers, 1);
+            cfg.options.cores = cores;
+            let svc = ConcurrentService::new(cfg);
+            assert_eq!(svc.inner.options.cores, budget, "{workers} workers");
+            svc.finish();
         }
     }
 

@@ -783,8 +783,15 @@ fn cmd_analyze(cli: &Cli) -> ExitCode {
             }
         };
         let grid = Grid::for_procs(cli.procs.unwrap_or(4));
-        let solver = SparseLuSolver::analyze(&a, cli.options);
-        // one sequential factorization: the base of the work inflation
+        // a core budget of 1 pins `factor` to the sequential code: one
+        // sequential factorization is the base of the work inflation
+        let solver = SparseLuSolver::analyze(
+            &a,
+            FactorOptions {
+                cores: 1,
+                ..cli.options
+            },
+        );
         let t_seq = std::time::Instant::now();
         if let Err(e) = solver.factor() {
             eprintln!("splu: {e}");

@@ -18,6 +18,12 @@ cargo test -q -p splu-core --test stacked_update --test delivery_jitter
 cargo test -q -p splu-core --test stacked_update --test delivery_jitter \
     --no-default-features
 
+# the one factor entry point: the crossover decision, the 1×P grid
+# bitwise equal to the sequential code, a warmed parallel refactor that
+# grows nothing, a typed error on singular input; also on one test thread
+cargo test -q --test product_path
+cargo test -q --test product_path -- --test-threads=1
+
 # the paper golden tables: every `splu repro` experiment on the
 # two-matrix smoke suite, model cells byte for byte, in both configs
 cargo test -q --test paper_golden
