@@ -56,18 +56,23 @@ pub struct FactorStats {
     /// owning no destination segment) — a warmed refactorization performs
     /// zero symbolic merges.
     pub scatter_map_reuse_hits: u64,
-    /// Wall seconds inside the update-stage products: packing, the
+    /// Seconds inside the update-stage products: packing, the
     /// small-shape GEMMs, and the blocked-shape fused GEMM tiles together
-    /// with their write-back into the destination blocks.
+    /// with their write-back into the destination blocks. This and the
+    /// other `_secs` fields are one thread's wall time in the sequential
+    /// code; a parallel run (the parallel drivers, and
+    /// `SparseLuSolver::factor` on its `1 × P` grid) sums them over its
+    /// processors ([`FactorStats::absorb`]), so there they are thread
+    /// time and can exceed the run's wall time.
     pub update_gemm_secs: f64,
-    /// Wall seconds writing the small-shape products back into their
+    /// Seconds writing the small-shape products back into their
     /// destinations (the blocked shapes' write-back is fused into their
     /// GEMM and counts in [`FactorStats::update_gemm_secs`]).
     pub update_scatter_secs: f64,
-    /// Wall seconds blocked receiving update operands (parallel drivers;
+    /// Seconds blocked receiving update operands (parallel drivers;
     /// zero for the sequential code).
     pub update_wait_secs: f64,
-    /// Wall seconds *critical-path* (non-deferred) update tasks spent
+    /// Seconds *critical-path* (non-deferred) update tasks spent
     /// blocked on panel operands in the 2D lookahead executor — the wait
     /// the lookahead window exists to hide (zero elsewhere).
     pub panel_wait_secs: f64,

@@ -31,7 +31,9 @@ pub mod etree;
 pub mod supernode;
 pub mod symfact;
 
-pub use blocks::{BlockPattern, UBlockKind, UpdateShapes, WidthCensus};
+pub use blocks::{
+    factor_task_flops, update_task_flops, BlockPattern, UBlockKind, UpdateShapes, WidthCensus,
+};
 pub use etree::{block_etree, subtree_costs};
 pub use supernode::{amalgamate, partition_supernodes, SupernodePartition};
 pub use symfact::{static_symbolic_factorization, StaticStructure};
