@@ -1,4 +1,4 @@
-//! End-to-end factorization benchmark: the sequential, 1D and 2D drivers
+//! End-to-end factorization benchmark: the sequential and 2D drivers
 //! over a small synthetic suite, recording GFLOP/s and the peak
 //! scratch-arena footprint of each driver.
 //!
@@ -9,8 +9,6 @@
 //!   arena; `warmed_grow_events` must be 0 (the allocation-free proof:
 //!   once the arena has seen the pattern's shapes, the numeric loop
 //!   performs no heap allocation),
-//! * `par1d` — the 1D compute-ahead code on `PAR1D_PROCS` simulated
-//!   processors,
 //! * `par2d` — the 2D asynchronous code on a `Grid::for_procs` grid.
 //!
 //! GFLOP/s = (gemm + other flops) / wall seconds of the numeric phase.
@@ -18,7 +16,6 @@
 //! trend lines, not speedups — the gate in `verify.sh` only checks the
 //! file is well-formed and every rate is positive.
 
-use splu_core::par1d::{factor_par1d, Strategy1d};
 use splu_core::par2d::{factor_par2d_with, Par2dOptions};
 use splu_core::seq::factor_sequential_with;
 use splu_core::{BlockMatrix, FactorOptions, FactorScratch, FactorStats, SparseLuSolver};
@@ -31,8 +28,6 @@ use std::time::Instant;
 pub const DEFAULT_OUT: &str = "results/BENCH_lu.json";
 /// Matrices benchmarked by default (≥ 3, all quick to factor).
 pub const MATRICES: [&str; 3] = ["sherman5", "jpwh991", "orsreg1"];
-/// Simulated processors for the 1D driver.
-pub const PAR1D_PROCS: usize = 2;
 /// Simulated processors for the 2D driver (`Grid::for_procs`).
 pub const PAR2D_PROCS: usize = 4;
 /// Lookahead windows swept by the 2D driver (per matrix, alongside the
@@ -45,7 +40,7 @@ pub const LOOKAHEAD_SWEEP: [usize; 4] = [0, 1, 2, 4];
 /// modeled large-suite record across alternating runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SuiteSel {
-    /// The wall-clock small suite ([`MATRICES`]): seq/par1d/par2d.
+    /// The wall-clock small suite ([`MATRICES`]): seq/par2d.
     Small,
     /// The n = 50k–500k extension tier ([`suite::XLARGE`]), through the
     /// T3E machine model.
@@ -170,7 +165,6 @@ pub struct MatrixResult {
     /// Grow events of the final (warmed) sequential run — 0 proves the
     /// steady-state factorization loop is allocation-free.
     pub seq_warmed_grow_events: u64,
-    pub par1d: DriverResult,
     pub par2d: DriverResult,
     /// Lookahead window used by the (gated) `par2d` measurement.
     pub par2d_lookahead: usize,
@@ -211,7 +205,7 @@ fn best_rate(
     }
 }
 
-/// Benchmark one matrix across the three drivers. `min_secs` is the
+/// Benchmark one matrix across the two drivers. `min_secs` is the
 /// per-driver measurement budget (best rate over repeated runs);
 /// `lookahead` is the 2D window of the gated measurement (the `W` sweep
 /// runs regardless).
@@ -240,23 +234,12 @@ pub fn bench_matrix(name: &'static str, min_secs: f64, lookahead: usize) -> Matr
     );
     let seq_warmed_grow_events = seq_stats.scratch_grow_events;
 
-    // parallel drivers: the runtime reports the parallel-section wall
+    // parallel driver: the runtime reports the parallel-section wall
     // time; fresh per-processor arenas each run, so take the best rate
     // over the budget (thread start-up noise dominates single runs).
-    // Like the sequential arena, each thread configuration gets one
-    // untimed warm-up run first — the first run of a configuration
-    // eats the allocator/page-fault cost of its stores.
-    let run_1d = || {
-        let r = factor_par1d(
-            &solver.permuted,
-            solver.pattern.clone(),
-            PAR1D_PROCS,
-            Strategy1d::ComputeAhead,
-        );
-        (r.stats, r.elapsed)
-    };
-    run_1d();
-    let (par1d, _) = best_rate(min_secs, run_1d);
+    // Like the sequential arena, the gated window gets one untimed
+    // warm-up run first — the first run eats the allocator/page-fault
+    // cost of its stores.
     let stages = |window: usize| Par2dOptions {
         window,
         ..Par2dOptions::default()
@@ -330,7 +313,6 @@ pub fn bench_matrix(name: &'static str, min_secs: f64, lookahead: usize) -> Matr
         nnz: a.nnz(),
         seq,
         seq_warmed_grow_events,
-        par1d,
         par2d,
         par2d_lookahead: lookahead,
         par2d_sweep,
@@ -456,7 +438,7 @@ pub fn parse_rates(text: &str) -> Option<std::collections::HashMap<(String, Stri
     let mut map = std::collections::HashMap::new();
     for m in v.get("matrices")?.items()? {
         let name = m.get("name")?.as_str()?;
-        for d in ["seq", "par1d", "par2d"] {
+        for d in ["seq", "par2d"] {
             if let Some(g) = m
                 .get(d)
                 .and_then(|o| o.get("gflops"))
@@ -517,12 +499,13 @@ fn parse_per_name(
     Some(map)
 }
 
-/// Previous-record small-suite headline: `(par1d, par2d)` geomean
-/// speedups vs seq. Absent for records written before the headline.
-pub fn parse_headline(text: &str) -> Option<(f64, f64)> {
+/// Previous-record small-suite headline: the `par2d` geomean speedup vs
+/// seq (any other driver's key is ignored). Absent for records written
+/// before the headline.
+pub fn parse_headline(text: &str) -> Option<f64> {
     let v = splu_probe::json::parse(text).ok()?;
     let h = v.get("headline")?.get("geomean_speedup_vs_seq")?;
-    Some((h.get("par1d")?.as_f64()?, h.get("par2d")?.as_f64()?))
+    h.get("par2d")?.as_f64()
 }
 
 /// `Ok` when `failures` is empty, else one `{what} regression` error
@@ -574,26 +557,16 @@ pub fn gate_large(
     regression("large-suite", failures)
 }
 
-/// Gate the fresh small-suite headline against the recorded one: either
-/// driver's geomean speedup-vs-seq more than `tol_pct` percent below the
+/// Gate the fresh small-suite `par2d` headline `g` against the recorded
+/// one: a geomean speedup-vs-seq more than `tol_pct` percent below the
 /// record fails.
-pub fn gate_headline(
-    rows: &[MatrixResult],
-    prev: Option<(f64, f64)>,
-    tol_pct: f64,
-) -> Result<(), String> {
-    let Some((p1_prev, p2_prev)) = prev else {
-        return Ok(());
-    };
-    let (p1, p2) = headline_speedups(rows);
+pub fn gate_headline(g: f64, prev: Option<f64>, tol_pct: f64) -> Result<(), String> {
     let mut failures = Vec::new();
-    for (d, g, p) in [("par1d", p1, p1_prev), ("par2d", p2, p2_prev)] {
-        if g < p * (1.0 - tol_pct / 100.0) {
-            failures.push(format!(
-                "headline/{d}: geomean speedup_vs_seq {g:.4} is more than \
-                 {tol_pct}% below the recorded {p:.4}"
-            ));
-        }
+    if let Some(p) = prev.filter(|&p| g < p * (1.0 - tol_pct / 100.0)) {
+        failures.push(format!(
+            "headline/par2d: geomean speedup_vs_seq {g:.4} is more than \
+             {tol_pct}% below the recorded {p:.4}"
+        ));
     }
     regression("headline", failures)
 }
@@ -706,12 +679,6 @@ fn matrices_json(
             breakdown_json(&r.seq.update)
         ));
         json.push_str(&format!(
-            "     \"par1d\": {{\"gflops\": {:.4}, \"scratch_peak_bytes\": {},\n      {}}},\n",
-            r.par1d.gflops,
-            r.par1d.scratch_peak_bytes,
-            breakdown_json(&r.par1d.update)
-        ));
-        json.push_str(&format!(
             "     \"par2d\": {{\"gflops\": {:.4}, \"lookahead\": {}, \
              \"scratch_peak_bytes\": {},\n      {}}},\n",
             r.par2d.gflops,
@@ -733,14 +700,11 @@ fn matrices_json(
                     }
                 })
             };
-            if let (Some(s), Some(p1), Some(p2)) = (
-                ratio("seq", r.seq.gflops),
-                ratio("par1d", r.par1d.gflops),
-                ratio("par2d", r.par2d.gflops),
-            ) {
+            if let (Some(s), Some(p2)) =
+                (ratio("seq", r.seq.gflops), ratio("par2d", r.par2d.gflops))
+            {
                 json.push_str(&format!(
-                    ",\n     \"speedup_vs_prev\": {{\"seq\": {s:.4}, \
-                     \"par1d\": {p1:.4}, \"par2d\": {p2:.4}}}"
+                    ",\n     \"speedup_vs_prev\": {{\"seq\": {s:.4}, \"par2d\": {p2:.4}}}"
                 ));
             }
         }
@@ -753,25 +717,24 @@ fn matrices_json(
     json
 }
 
-/// The per-driver geomean `speedup_vs_seq` headline of the small suite:
-/// each parallel driver's rate over the sequential rate of the same
-/// matrix (identical flop counts, so the rate ratio is the time ratio),
-/// aggregated with a geometric mean across the suite.
+/// The geomean `speedup_vs_seq` headline of the small suite: the 2D
+/// driver's rate over the sequential rate of the same matrix (identical
+/// flop counts, so the rate ratio is the time ratio), aggregated with a
+/// geometric mean across the suite.
 fn headline_json(rows: &[MatrixResult]) -> String {
-    let (p1, p2) = headline_speedups(rows);
+    let p2 = headline_speedup(rows);
     format!(
-        "{{\"geomean_speedup_vs_seq\": {{\"par1d\": {p1:.4}, \"par2d\": {p2:.4}}}, \
+        "{{\"geomean_speedup_vs_seq\": {{\"par2d\": {p2:.4}}}, \
          \"note\": \"thread-simulated processors on this host; trajectory metric, \
          see large_suite for the modeled parallel wins\"}}"
     )
 }
 
-/// `(par1d, par2d)` geomean speedups vs the sequential driver.
-pub fn headline_speedups(rows: &[MatrixResult]) -> (f64, f64) {
-    let ratio = |g: f64, s: f64| g / s.max(1e-12);
-    (
-        geomean(rows.iter().map(|r| ratio(r.par1d.gflops, r.seq.gflops))),
-        geomean(rows.iter().map(|r| ratio(r.par2d.gflops, r.seq.gflops))),
+/// The `par2d` geomean speedup vs the sequential driver.
+pub fn headline_speedup(rows: &[MatrixResult]) -> f64 {
+    geomean(
+        rows.iter()
+            .map(|r| r.par2d.gflops / r.seq.gflops.max(1e-12)),
     )
 }
 
@@ -831,7 +794,7 @@ fn render_document(matrices: Option<&str>, headline: Option<&str>, large: Option
     let mut json = String::new();
     json.push_str("{\n  \"bench\": \"lu_factor\",\n");
     json.push_str(&format!(
-        "  \"drivers\": {{\"seq\": 1, \"par1d\": {PAR1D_PROCS}, \"par2d\": [{}, {}]}},\n",
+        "  \"drivers\": {{\"seq\": 1, \"par2d\": [{}, {}]}},\n",
         grid.pr, grid.pc
     ));
     json.push_str(&format!("  \"matrices\": {}", matrices.unwrap_or("[]")));
@@ -891,11 +854,7 @@ pub fn gate_against(
 ) -> Result<(), String> {
     let mut failures = Vec::new();
     for r in rows {
-        for (d, g) in [
-            ("seq", r.seq.gflops),
-            ("par1d", r.par1d.gflops),
-            ("par2d", r.par2d.gflops),
-        ] {
+        for (d, g) in [("seq", r.seq.gflops), ("par2d", r.par2d.gflops)] {
             if let Some(&p) = prev.get(&(r.name.to_string(), d.to_string())) {
                 if g < p * (1.0 - tol_pct / 100.0) {
                     failures.push(format!(
@@ -938,14 +897,13 @@ pub fn run_suite(
                 let r = bench_matrix(name, min_secs, lookahead);
                 eprintln!(
                     "{:<9} n={:<5} seq {:7.4} GFLOP/s (scratch {} B, warmed grow events {})  \
-                     par1d {:7.4}  par2d {:7.4} (W={})  update gemm/scatter/wait \
+                     par2d {:7.4} (W={})  update gemm/scatter/wait \
                      {:.1}/{:.1}/{:.1} ms",
                     r.name,
                     r.n,
                     r.seq.gflops,
                     r.seq.scratch_peak_bytes,
                     r.seq_warmed_grow_events,
-                    r.par1d.gflops,
                     r.par2d.gflops,
                     r.par2d_lookahead,
                     r.seq.update.gemm_secs * 1e3,
@@ -966,8 +924,8 @@ pub fn run_suite(
                 }
                 rows.push(r);
             }
-            let (h1, h2) = headline_speedups(&rows);
-            eprintln!("headline geomean speedup_vs_seq: par1d {h1:.4}  par2d {h2:.4}");
+            let headline = headline_speedup(&rows);
+            eprintln!("headline geomean speedup_vs_seq: par2d {headline:.4}");
             json = render_document(
                 Some(&matrices_json(&rows, prev.as_ref())),
                 Some(&headline_json(&rows)),
@@ -977,7 +935,7 @@ pub fn run_suite(
                 if let Some(shares) = &prev_shares {
                     gate_attribution_against(&rows, shares, tolerance_pct())?;
                 }
-                gate_headline(&rows, prev_headline, tolerance_pct())?;
+                gate_headline(headline, prev_headline, tolerance_pct())?;
                 match &prev {
                     Some(prev) => gate_against(&rows, prev, tolerance_pct()),
                     None => {
@@ -1037,4 +995,29 @@ pub fn run_suite(
     std::fs::write(out, json).map_err(|e| format!("write {out}: {e}"))?;
     println!("wrote {out}");
     gate()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A record whose `par2d` headline is twice the fresh one trips the
+    /// headline gate, whether or not the record also carries a retired
+    /// driver's key.
+    #[test]
+    fn doubled_par2d_headline_trips_the_gate_with_or_without_other_keys() {
+        let fresh = 1.2;
+        for other in ["\"par1d\": 0.9, ", ""] {
+            let record = format!(
+                "{{\"bench\": \"lu_factor\", \"headline\": \
+                 {{\"geomean_speedup_vs_seq\": {{{other}\"par2d\": {}}}}}}}",
+                2.0 * fresh
+            );
+            let prev = parse_headline(&record);
+            assert_eq!(prev, Some(2.0 * fresh), "{record}");
+            let err = gate_headline(fresh, prev, 40.0).unwrap_err();
+            assert!(err.starts_with("headline regression"), "{err}");
+        }
+        assert_eq!(gate_headline(fresh, Some(fresh), 40.0), Ok(()));
+    }
 }

@@ -4,7 +4,7 @@
 //! * [`repro`]: Tables 1–7, Figs. 2/4/9/11 and 16–18 and the design
 //!   ablations as one manifest, run by `splu repro [ID…]` and pinned on a
 //!   two-matrix suite by the golden test `tests/paper_golden.rs`;
-//! * [`bench_lu`]: the seq / par1d / par2d factorization record
+//! * [`bench_lu`]: the seq / par2d factorization record
 //!   (`splu bench-lu`, `results/BENCH_lu.json`);
 //! * [`stopwatch`]: the std-only timing harness of the `bench_kernels`
 //!   binary and the `benches/` targets.

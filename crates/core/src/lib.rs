@@ -15,16 +15,16 @@
 //! * [`solve`] — the two triangular solvers `L y = P b`, `U x = y`,
 //! * [`pipeline`] — one-call driver: preprocess → symbolic → partition →
 //!   amalgamate → factor → solve,
-//! * [`par1d`] — the 1D data-mapping parallel codes (compute-ahead and
-//!   graph-scheduled / RAPID-style execution, §5.1),
-//! * [`par2d`] — the 2D block-cyclic asynchronous code (§5.2, Figs. 12–15)
-//!   with its synchronous-barrier ablation variant, overlap-degree
-//!   instrumentation (Theorem 2) and buffer accounting.
+//! * [`par2d`] — the one parallel executor: the 2D block-cyclic
+//!   asynchronous code (§5.2, Figs. 12–15) with its synchronous-barrier
+//!   ablation variant, overlap-degree instrumentation (Theorem 2) and
+//!   buffer accounting. On a `1 × P` grid at lookahead `W = 1` it is the
+//!   paper's 1D code (§4.2): block-cyclic column mapping with one-step
+//!   compute-ahead (Fig. 10).
 //!
 //! Entry point for most users: [`pipeline::SparseLuSolver`].
 
 pub mod error;
-pub mod par1d;
 pub mod par2d;
 pub mod pipeline;
 pub mod refine;

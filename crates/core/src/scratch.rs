@@ -1,11 +1,12 @@
 //! Per-processor scratch arena for the factorization hot path.
 //!
-//! Every driver (sequential, 1D, 2D, pipelined) owns one [`FactorScratch`]
-//! per processor and threads it through `Factor(k)` / `Update(k, j)` /
-//! `ScaleSwap`. All temporaries of the elimination loop — the small-shape
-//! product buffer, the update kernel's packed `U_kj` and `L` segments,
-//! the rank-1 update vectors and the 2D code's row copies — live here and
-//! only ever *grow* to the high-water mark of the shapes seen, so
+//! Every driver (the sequential code, and each rank of the 2D stage
+//! engine) owns one [`FactorScratch`] per processor and threads it
+//! through `Factor(k)` / `Update(k, j)` / `ScaleSwap`. All temporaries of
+//! the elimination loop — the small-shape product buffer, the update
+//! kernel's packed `U_kj` and `L` segments, the rank-1 update vectors and
+//! the 2D code's row copies — live here and only ever *grow* to the
+//! high-water mark of the shapes seen, so
 //! steady-state factorization performs zero heap allocations per panel.
 //! (Scatter
 //! position maps are not scratch at all anymore: they are precomputed
@@ -35,8 +36,6 @@ pub struct FactorScratch {
     /// `L` segments packed for the blocked update kernel (the sequential
     /// code's current stage).
     pub(crate) lpack: SegmentPack,
-    /// Idle packs of the 1D code's cached panels (one per panel).
-    pub(crate) lpacks: Vec<SegmentPack>,
     /// Rank-1 update row of `Factor(k)` (`U` row right of the pivot).
     pub(crate) urow: Vec<f64>,
     /// Rank-1 update column of `Factor(k)` (scaled `L` column).
@@ -73,9 +72,8 @@ impl FactorScratch {
     /// (including the update kernel's pack buffers). Zero delta across a
     /// factorization ⇒ the run allocated nothing in the hot loop.
     pub fn grow_events(&self) -> u64 {
-        let packs: u64 = self.lpacks.iter().map(SegmentPack::grow_events).sum();
         let stages: u64 = self.stages.iter().map(|s| s.pack.grow_events()).sum();
-        self.grow_events + self.lpack.grow_events() + packs + stages
+        self.grow_events + self.lpack.grow_events() + stages
     }
 
     /// High-water footprint of the arena in bytes. Capacities never
@@ -88,22 +86,8 @@ impl FactorScratch {
             + self.rowbuf.capacity()
             + self.rowbuf2.capacity();
         let u32s = self.idx.capacity();
-        let packs: usize = self
-            .lpacks
-            .iter()
-            .map(SegmentPack::peak_bytes)
-            .sum::<usize>()
-            + self
-                .stages
-                .iter()
-                .map(|s| s.pack.peak_bytes())
-                .sum::<usize>();
+        let packs: usize = self.stages.iter().map(|s| s.pack.peak_bytes()).sum();
         (f64s * 8 + u32s * 4 + self.lpack.peak_bytes() + packs) as u64
-    }
-
-    /// A pack for a newly cached panel: a returned one when available.
-    pub(crate) fn take_lpack(&mut self) -> SegmentPack {
-        self.lpacks.pop().unwrap_or_default()
     }
 
     /// Ensure `n` stage slots exist and mark them all empty (stage

@@ -18,7 +18,7 @@ use crate::error::SolverError;
 use crate::scratch::{prep_cap, FactorScratch};
 use crate::storage::BlockMatrix;
 use crate::update::{self, UpdateTask};
-use splu_kernels::{dger, dtrsm_left_lower_unit, SegmentPack};
+use splu_kernels::{dger, dtrsm_left_lower_unit};
 use splu_probe::Probe;
 
 /// Statistics of a numeric factorization run.
@@ -312,64 +312,16 @@ pub(crate) fn factor_block_opts(
     Ok(piv_seq)
 }
 
-/// A read-only view of a factored column block's panel — either borrowed
-/// from local storage or reconstructed from a received message (the
-/// parallel codes' delayed-pivoting aggregated message carries exactly
-/// this: diag panel ++ L panel, plus the pivot sequence).
-pub struct PanelRef<'a> {
-    /// `w × w` diagonal panel (unit-lower L in the strict lower part).
-    pub diag: &'a [f64],
-    /// Packed L panel (`lrows.len() × w`, ld = lrows.len()).
-    pub lpanel: &'a [f64],
-    /// Global rows of the packed panel.
-    pub lrows: &'a [u32],
-    /// Segments of the packed panel per row block.
-    pub lsegs: &'a [crate::storage::LSeg],
-    /// Block width.
-    pub w: usize,
-}
-
-/// `Update(k, j)` using the locally stored panel of block `k` and the
-/// stage's pack held in the arena.
+/// `Update(k, j)` (Fig. 8): apply the delayed interchanges of block `k` to
+/// column block `j`, triangular-solve `U_kj := L_kk⁻¹ U_kj`, then
+/// `A_ij -= L_ik · U_kj` for every nonzero `L_ik`, reading the factored
+/// panel of block `k` in place and its `L` segments through the stage's
+/// pack in the arena (reset when the panel was factored, so each segment
+/// is packed once per stage).
 fn update_block(
     m: &mut BlockMatrix,
     k: usize,
     j: usize,
-    piv_seq: &[u32],
-    stats: &mut FactorStats,
-    scratch: &mut FactorScratch,
-) {
-    // borrow dance: temporarily move column k's storage out so we can
-    // mutate column j while reading column k; the placeholder block lives
-    // in the arena so the swap allocates nothing
-    let dummy = std::mem::take(&mut scratch.dummy);
-    let ck = std::mem::replace(&mut m.cols[k], dummy);
-    let panel = PanelRef {
-        diag: &ck.diag,
-        lpanel: &ck.lpanel,
-        lrows: &ck.lrows,
-        lsegs: &ck.lsegs,
-        w: ck.w as usize,
-    };
-    let mut lpack = std::mem::take(&mut scratch.lpack);
-    update_block_with_panel(m, k, j, &panel, &mut lpack, piv_seq, stats, scratch);
-    scratch.lpack = lpack;
-    scratch.dummy = std::mem::replace(&mut m.cols[k], ck);
-}
-
-/// `Update(k, j)` (Fig. 8): apply the delayed interchanges of block `k` to
-/// column block `j`, triangular-solve `U_kj := L_kk⁻¹ U_kj`, then
-/// `A_ij -= L_ik · U_kj` for every nonzero `L_ik`. The factored panel of
-/// block `k` is supplied explicitly (local or received), with its pack
-/// `lpack` (reset when the panel was factored or received, so each segment
-/// is packed once per stage).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn update_block_with_panel(
-    m: &mut BlockMatrix,
-    k: usize,
-    j: usize,
-    panel: &PanelRef<'_>,
-    lpack: &mut SegmentPack,
     piv_seq: &[u32],
     stats: &mut FactorStats,
     scratch: &mut FactorScratch,
@@ -386,8 +338,14 @@ pub(crate) fn update_block_with_panel(
         }
     }
 
+    // borrow dance: temporarily move column k's storage out so we can
+    // mutate column j while reading column k; the placeholder block lives
+    // in the arena so the swap allocates nothing
+    let dummy = std::mem::take(&mut scratch.dummy);
+    let ck = std::mem::replace(&mut m.cols[k], dummy);
+
     // ---- 2. U_kj := L_kk⁻¹ U_kj (unit-lower triangular solve) ----
-    let wk = panel.w;
+    let wk = ck.w as usize;
     debug_assert_eq!(wk, m.pattern.part.width(k));
     // locate U block (k) in column block j
     let Some(ub_idx) = m.cols[j]
@@ -402,34 +360,36 @@ pub(crate) fn update_block_with_panel(
     {
         let ub = &mut m.cols[j].ublocks[ub_idx];
         let ncols = ub.cols.len();
-        dtrsm_left_lower_unit(wk, ncols, panel.diag, wk, &mut ub.panel, wk);
+        dtrsm_left_lower_unit(wk, ncols, &ck.diag, wk, &mut ub.panel, wk);
         stats.other_flops += (wk * wk * ncols) as u64;
     }
 
     // ---- 3. A_ij -= L_ik · U_kj, one product per L segment ----
     let nuc = m.cols[j].ublocks[ub_idx].cols.len();
-    let nl = panel.lrows.len();
-    if nuc == 0 || nl == 0 {
-        return;
+    let nl = ck.lrows.len();
+    if nuc > 0 && nl > 0 {
+        // The pattern (shared Arc) supplies the precomputed scatter maps; a
+        // local handle frees `m` for the destination borrows below.
+        let pattern = m.pattern.clone();
+        let uj = pattern.u_blocks[k]
+            .binary_search_by_key(&(j as u32), |u| u.j)
+            .expect("U block in pattern");
+        stats.scatter_map_reuse_hits += 1;
+        let task = UpdateTask {
+            pattern: &pattern,
+            k,
+            j,
+            uj,
+            mine: &|_| true,
+        };
+        let seg = |li: usize| (&ck.lpanel[ck.lsegs[li].start as usize..], nl);
+        let u = &m.cols[j].ublocks[ub_idx].panel;
+        let mut lpack = std::mem::take(&mut scratch.lpack);
+        let started = update::gather(&task, &seg, u, &mut lpack, stats, scratch);
+        update::apply(&task, started, &lpack, &mut m.cols[j], stats, scratch);
+        scratch.lpack = lpack;
     }
-    // The pattern (shared Arc) supplies the precomputed scatter maps; a
-    // local handle frees `m` for the destination borrows below.
-    let pattern = m.pattern.clone();
-    let uj = pattern.u_blocks[k]
-        .binary_search_by_key(&(j as u32), |u| u.j)
-        .expect("U block in pattern");
-    stats.scatter_map_reuse_hits += 1;
-    let task = UpdateTask {
-        pattern: &pattern,
-        k,
-        j,
-        uj,
-        mine: &|_| true,
-    };
-    let seg = |li: usize| (&panel.lpanel[panel.lsegs[li].start as usize..], nl);
-    let u = &m.cols[j].ublocks[ub_idx].panel;
-    let started = update::gather(&task, &seg, u, lpack, stats, scratch);
-    update::apply(&task, started, lpack, &mut m.cols[j], stats, scratch);
+    scratch.dummy = std::mem::replace(&mut m.cols[k], ck);
 }
 
 #[cfg(test)]

@@ -99,21 +99,7 @@ impl BlockMatrix {
     /// Allocate the block storage for `pattern` and scatter the entries of
     /// `a` into it (everything else is zero padding).
     pub fn from_csc(a: &splu_sparse::CscMatrix, pattern: Arc<BlockPattern>) -> Self {
-        Self::from_csc_filtered(a, pattern, |_| true)
-    }
-
-    /// Distributed variant: allocate panel storage only for column blocks
-    /// where `owned(j)` holds (the 1D data mapping — §4.2: "all
-    /// submatrices of the same column block reside in the same
-    /// processor"). Metadata (row lists, masks, segments) is kept for
-    /// *every* block so received panels can be interpreted; unowned panels
-    /// are zero-length.
-    pub fn from_csc_filtered(
-        a: &splu_sparse::CscMatrix,
-        pattern: Arc<BlockPattern>,
-        owned: impl Fn(usize) -> bool,
-    ) -> Self {
-        Self::from_csc_blocks(a, pattern, |_| true, owned)
+        Self::from_csc_blocks(a, pattern, |_| true, |_| true)
     }
 
     /// One rank's share of a 2D block-cyclic mapping: the column blocks
@@ -123,8 +109,8 @@ impl BlockMatrix {
     /// dimension = their total rows), and its `U` blocks `(k, j)` with
     /// `rows(k)`. Metadata covers every column, restricted to the same
     /// rows, so a stacked panel received from a rank holding the same
-    /// block rows reads with this layout. With `rows` always true this is
-    /// [`BlockMatrix::from_csc_filtered`].
+    /// block rows reads with this layout. With both filters always true
+    /// this is [`BlockMatrix::from_csc`].
     pub fn from_csc_blocks(
         a: &splu_sparse::CscMatrix,
         pattern: Arc<BlockPattern>,

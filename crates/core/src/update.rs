@@ -91,8 +91,8 @@ impl UpdateTask<'_> {
 /// `seg(li)` is stage `k`'s segment `li` — its rows from the first on —
 /// and leading dimension. The task's consecutive segments (those `mine`
 /// selects) sit in consecutive rows of one panel — the packed panel of the
-/// sequential and 1D codes, a 2D rank's stacked share of it — so each run
-/// of small ones is one kernel call.
+/// sequential code, a 2D rank's stacked share of it — so each run of
+/// small ones is one kernel call.
 pub(crate) fn gather<'a>(
     t: &UpdateTask<'_>,
     seg: &dyn Fn(usize) -> (&'a [f64], usize),

@@ -1,16 +1,15 @@
-//! Adversarial message-ordering suite: both parallel drivers must
-//! produce bitwise-identical factors when the runtime's delivery-jitter
-//! test mode scrambles receive interleaving (`RunOptions::jitter_seed`).
+//! Adversarial message-ordering suite: the parallel driver must produce
+//! bitwise-identical factors on every grid, 1D `1 × P` ones included,
+//! when the runtime's delivery-jitter test mode scrambles receive
+//! interleaving (`RunOptions::jitter_seed`).
 //!
-//! The drivers' correctness argument is that arithmetic order is fixed
-//! by the schedule (1D: the per-processor pipelined order; 2D: the
-//! lookahead executor's per-destination ascending-stage chains), never
-//! by message arrival. Jitter attacks exactly that assumption: it
-//! shuffles each drained mailbox batch and pops a random message among
-//! same-tag duplicates, all from a seeded deterministic stream, so a
-//! violation reproduces instead of flaking.
+//! The driver's correctness argument is that arithmetic order is fixed
+//! by the schedule (the lookahead executor's per-destination
+//! ascending-stage chains), never by message arrival. Jitter attacks
+//! exactly that assumption: it shuffles each drained mailbox batch and
+//! pops a random message among same-tag duplicates, all from a seeded
+//! deterministic stream, so a violation reproduces instead of flaking.
 
-use splu_core::par1d::{factor_par1d_with, Par1dOptions};
 use splu_core::par2d::{factor_par2d_with, Par2dOptions, Sync2d};
 use splu_core::seq::factor_sequential;
 use splu_core::{BlockMatrix, FactorOptions, SparseLuSolver};
@@ -52,22 +51,10 @@ fn factors_bitwise_identical_under_delivery_jitter() {
             jitter_seed: Some(seed),
             ..RunOptions::default()
         };
-        let opts = Par1dOptions {
-            run,
-            ..Par1dOptions::default()
-        };
-        let p1 = factor_par1d_with(&solver.permuted, solver.pattern.clone(), 3, &opts).unwrap();
-        assert_bitwise_equal(
-            &seq,
-            &seq_piv,
-            &p1.blocks,
-            &p1.pivots,
-            &format!("par1d seed={seed:#x}"),
-        );
-
-        // (1,1): one rank holds every block; (2,1): pivot exchange across
-        // ranks, no cross-column multicast — both at W ∈ {0, 1}
-        for (pr, pc) in [(1, 2), (2, 2), (3, 2), (1, 1), (2, 1)] {
+        // (1,3): the 1D code's grid; (1,1): one rank holds every block;
+        // (2,1): pivot exchange across ranks, no cross-column multicast —
+        // the last two at W ∈ {0, 1}
+        for (pr, pc) in [(1, 2), (1, 3), (2, 2), (3, 2), (1, 1), (2, 1)] {
             for mode in [Sync2d::Async, Sync2d::Barrier] {
                 let windows: &[usize] = if pc > 1 { &[0, 1, 2] } else { &[0, 1] };
                 for &w in windows {

@@ -1,15 +1,15 @@
 //! Singular input through every driver configuration: a matrix with
 //! exactly one breakdown column must surface as the same typed
-//! `SolverError::ZeroPivot { step }` from the sequential driver, both 1D
-//! strategies and every 2D engine in both synchronization modes — never
-//! as a panic or a hang. Each case runs under a watchdog so a deadlocked
-//! processor grid fails the test instead of stalling the suite.
+//! `SolverError::ZeroPivot { step }` from the sequential driver and from
+//! the 2D engine on a 2D grid and on the 1D code's `1 × 3` grid, in both
+//! synchronization modes — never as a panic or a hang. Each case runs
+//! under a watchdog so a deadlocked processor grid fails the test instead
+//! of stalling the suite.
 
-use splu_core::par1d::{factor_par1d_with, Par1dOptions, Strategy1d};
 use splu_core::par2d::{factor_par2d_with, Par2dOptions, Sync2d};
 use splu_core::seq::factor_sequential;
 use splu_core::{BlockMatrix, FactorOptions, SolverError, SparseLuSolver};
-use splu_machine::{Grid, T3D};
+use splu_machine::Grid;
 use splu_sparse::{suite, CscMatrix};
 use splu_symbolic::BlockPattern;
 use std::sync::mpsc;
@@ -55,24 +55,14 @@ fn with_watchdog<T: Send + 'static>(label: &str, f: impl FnOnce() -> T + Send + 
 
 type Case = Box<dyn FnOnce(&CscMatrix, Arc<BlockPattern>) -> Result<(), SolverError> + Send>;
 
-fn par1d(strategy: Strategy1d) -> Case {
-    Box::new(move |a, pattern| {
-        let opts = Par1dOptions {
-            strategy,
-            ..Par1dOptions::default()
-        };
-        factor_par1d_with(a, pattern, 3, &opts).map(drop)
-    })
-}
-
-fn par2d(mode: Sync2d, window: usize) -> Case {
+fn par2d(grid: Grid, mode: Sync2d, window: usize) -> Case {
     Box::new(move |a, pattern| {
         let opts = Par2dOptions {
             mode,
             window,
             ..Par2dOptions::default()
         };
-        factor_par2d_with(a, pattern, Grid::new(2, 2), &opts).map(drop)
+        factor_par2d_with(a, pattern, grid, &opts).map(drop)
     })
 }
 
@@ -90,19 +80,13 @@ fn every_driver_reports_the_sequential_zero_pivot() {
         let expected = factor_sequential(&mut seq).map(drop);
         assert_eq!(expected, Err(SolverError::ZeroPivot { step: c }), "seq");
 
-        let mut cases: Vec<(String, Case)> = vec![
-            (
-                "par1d compute-ahead".into(),
-                par1d(Strategy1d::ComputeAhead),
-            ),
-            (
-                "par1d graph-scheduled".into(),
-                par1d(Strategy1d::GraphScheduled(T3D)),
-            ),
-        ];
-        for mode in [Sync2d::Async, Sync2d::Barrier] {
-            for w in [0usize, 1] {
-                cases.push((format!("par2d {mode:?} W={w}"), par2d(mode, w)));
+        let mut cases: Vec<(String, Case)> = Vec::new();
+        for (pr, pc) in [(2, 2), (1, 3)] {
+            for mode in [Sync2d::Async, Sync2d::Barrier] {
+                for w in [0usize, 1] {
+                    let name = format!("par2d {pr}x{pc} {mode:?} W={w}");
+                    cases.push((name, par2d(Grid::new(pr, pc), mode, w)));
+                }
             }
         }
         for (name, case) in cases {

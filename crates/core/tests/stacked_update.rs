@@ -4,13 +4,13 @@
 //! shape-chosen kernel — packed GEMM tiles subtracted straight into the
 //! destination, or stacked small-shape products scattered afterwards —
 //! through the `BlockPattern`'s precomputed maps. That organization must
-//! not change a single bit of the factors across drivers: every driver (1D, 2D in both synchronization modes, on
-//! every tested grid) is compared entry-for-entry with `f64::to_bits`
+//! not change a single bit of the factors across drivers: the 2D engine
+//! in both synchronization modes, on every tested grid (the 1D code's
+//! `1 × P` ones included), is compared entry-for-entry with `f64::to_bits`
 //! against the sequential driver on shrunk instances of the full
 //! synthetic suite. A warmed-refactorization test additionally proves
 //! the path performs zero heap allocations and zero symbolic merges.
 
-use splu_core::par1d::{factor_par1d, Strategy1d};
 use splu_core::par2d::{factor_par2d, factor_par2d_with, Par2dOptions, Sync2d};
 use splu_core::seq::factor_sequential;
 use splu_core::{BlockMatrix, FactorOptions, FactorScratch, SparseLuSolver};
@@ -52,15 +52,15 @@ fn assert_bitwise_equal(
     }
 }
 
-/// Every parallel driver reproduces the sequential factors bitwise on
-/// every suite matrix: par1d on 2 processors, par2d on the (1,2), (2,2)
-/// and (3,2) grids in both synchronization modes and across the whole
-/// lookahead-window range `W ∈ {0, 1, 2, 4}` (0 is the in-order
-/// schedule; larger windows must only reorder *independent* work — the
-/// per-destination ascending-stage order, and with it every bit of the
-/// factors, is invariant), and on the (1,1) grid (one rank holding every
-/// block) and the (2,1) grid (pivot exchange across ranks, no cross-column
-/// multicast) at `W ∈ {0, 1}`.
+/// The parallel driver reproduces the sequential factors bitwise on
+/// every suite matrix: par2d on the (1,2), (2,2) and (3,2) grids in both
+/// synchronization modes and across the whole lookahead-window range
+/// `W ∈ {0, 1, 2, 4}` (0 is the in-order schedule; larger windows must
+/// only reorder *independent* work — the per-destination ascending-stage
+/// order, and with it every bit of the factors, is invariant), and on
+/// the (1,1) grid (one rank holding every block) and the (2,1) grid
+/// (pivot exchange across ranks, no cross-column multicast) at
+/// `W ∈ {0, 1}`.
 #[test]
 fn all_drivers_bitwise_identical_across_suite() {
     for (name, a) in suite_cases() {
@@ -70,20 +70,6 @@ fn all_drivers_bitwise_identical_across_suite() {
         assert_eq!(
             seq_stats.scatter_map_reuse_hits, seq_stats.update_tasks as u64,
             "{name}: sequential update performed a fresh merge"
-        );
-
-        let p1 = factor_par1d(
-            &solver.permuted,
-            solver.pattern.clone(),
-            2,
-            Strategy1d::ComputeAhead,
-        );
-        assert_bitwise_equal(
-            &seq,
-            &seq_piv,
-            &p1.blocks,
-            &p1.pivots,
-            &format!("{name}/par1d"),
         );
 
         for (pr, pc) in [(1, 2), (2, 2), (3, 2), (1, 1), (2, 1)] {
@@ -126,7 +112,7 @@ fn assert_par2d_matches_seq(
 
 /// Supernodes wider than the blocked triangular solve's 48-row tile
 /// (`splu_kernels::blas3`'s `TB`) keep every driver bitwise identical to
-/// seq: par1d, and par2d on the 1×2, 2×1 and 2×2 grids in both
+/// seq: par2d on the 1×2, 2×1 and 2×2 grids in both
 /// synchronization modes at `W ∈ {0, 1}`. The default cap (32) stays
 /// below the tile, so the case takes a cap of 128, which any caller may.
 #[test]
@@ -146,13 +132,6 @@ fn wide_supernodes_bitwise_identical_across_drivers() {
 
     let mut seq = BlockMatrix::from_csc(&solver.permuted, solver.pattern.clone());
     let (seq_piv, _) = factor_sequential(&mut seq).unwrap();
-    let p1 = factor_par1d(
-        &solver.permuted,
-        solver.pattern.clone(),
-        2,
-        Strategy1d::ComputeAhead,
-    );
-    assert_bitwise_equal(&seq, &seq_piv, &p1.blocks, &p1.pivots, "wide/par1d");
     for (pr, pc) in [(1, 2), (2, 1), (2, 2)] {
         assert_par2d_matches_seq("wide", &solver, &seq, &seq_piv, Grid::new(pr, pc), &[0, 1]);
     }

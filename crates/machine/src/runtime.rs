@@ -13,8 +13,8 @@
 //! Protocols that are correct under tag matching alone (none of ours
 //! relies on cross-sender arrival order) must produce bitwise-identical
 //! results under any jitter seed — the integration tests assert exactly
-//! that for the 1D and 2D factorization drivers. Without jitter the
-//! runtime keeps strict FIFO order within a tag.
+//! that for the 2D factorization driver on 1D and 2D grids. Without
+//! jitter the runtime keeps strict FIFO order within a tag.
 
 use crate::chan::{unbounded, Receiver, Sender};
 use splu_probe::metrics::{self, Counter, Histogram};

@@ -8,9 +8,11 @@
 //! "uses sophisticated graph scheduling technique to guide the mapping of
 //! column blocks and ordering of tasks").
 //!
-//! The per-processor task orders produced here are what the RAPID-style
-//! executor in `splu-core::par1d` replays with asynchronous zero-copy
-//! messages.
+//! The per-processor task orders produced here are replayed by the
+//! discrete-event simulator ([`crate::sim`]), which charges RAPID's
+//! asynchronous zero-copy messages their latency and bandwidth only. No
+//! thread executor runs them: on threads the 1D code is the 2D stage
+//! engine on a `1 × P` grid.
 
 use crate::sim::Schedule;
 use crate::taskgraph::TaskGraph;

@@ -3,7 +3,8 @@
 //! The 1D S\* codes model the factorization as a directed acyclic task
 //! graph over `Factor(k)` and `Update(k, j)` tasks ([`taskgraph`], the
 //! four dependence properties of §4.1 plus the serialization property),
-//! then execute it under one of two schedules:
+//! then run it on the discrete-event machine under one of two schedules
+//! (on threads, the 1D code is `splu-core::par2d` on a `1 × P` grid):
 //!
 //! * **compute-ahead (CA)** ([`ca`]) — block-cyclic mapping with one-step
 //!   lookahead (Fig. 10): `Factor(k+1)` runs as soon as `Update(k, k+1)`

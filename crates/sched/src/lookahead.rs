@@ -1,6 +1,6 @@
 //! Critical-path lookahead schedule for the *real* 2D driver.
 //!
-//! The 1D codes consume the task graph's readiness information through
+//! The 1D schedules consume the task graph's readiness information through
 //! [`crate::graph_sched`]'s list scheduler; this module applies the same
 //! readiness discipline (per-destination indegree counters over the
 //! [`TaskGraph`]'s `Update(k, j)` dependences) to produce the

@@ -25,7 +25,7 @@
 //!                                       the Theorem 2 bound, and message
 //!                                       volume vs the 2D cost model
 //! splu bench-lu [opts]                  factor the synthetic suite with the
-//!                                       seq/par1d/par2d drivers; write the
+//!                                       seq/par2d drivers; write the
 //!                                       GFLOP/s + scratch-footprint record
 //!                                       (default results/BENCH_lu.json)
 //! splu repro [ID…]                      reproduce the paper's tables, figures
@@ -81,7 +81,7 @@
 //!                      first and record the goodput speedup (loadgen)
 //!   --min-secs S       per-driver measurement time (default 0.2,
 //!                                                 bench-lu only)
-//!   --suite X          bench-lu suite: small (measured seq/par1d/par2d,
+//!   --suite X          bench-lu suite: small (measured seq/par2d,
 //!                      default) | large (the n = 50k-500k hierarchical
 //!                      tier through the T3E machine model) | large-smoke
 //!                      (one shrunk large-tier instance for CI)

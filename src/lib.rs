@@ -8,8 +8,9 @@
 //! supernode partitioning with amalgamation, dense BLAS kernels, a
 //! SuperLU-like sequential baseline, a thread-based distributed-memory
 //! machine with a T3D/T3E cost model, task-graph scheduling (compute-ahead
-//! and RAPID-style graph scheduling), and the 1D and 2D parallel
-//! factorization codes.
+//! and RAPID-style graph scheduling, evaluated on the discrete-event
+//! model), and the 2D parallel factorization code, which runs the 1D
+//! code as its `1 × P` grid.
 //!
 //! ## Quick start
 //!
@@ -45,7 +46,7 @@
 //! | [`machine`] | `splu-machine` | thread message-passing runtime, processor grid, T3D/T3E cost model |
 //! | [`probe`] | `splu-probe` | flight-recorder tracing: spans/counters, Chrome-trace & summary-JSON export |
 //! | [`sched`] | `splu-sched` | task DAG, CA & graph schedules, discrete-event simulator, Gantt, load balance |
-//! | [`core`] | `splu-core` | S\* numeric factorization: sequential, 1D (CA / RAPID-style), 2D (async / barrier), solvers |
+//! | [`core`] | `splu-core` | S\* numeric factorization: sequential, 2D (async / barrier; `1 × P` is the 1D code), solvers |
 //! | [`solver`] | `splu-solver` | analyze/factorize/solve service: staged handles, pattern-keyed factorization cache, bounded solve work queue, concurrent serving layer (factor pool, sharded cache, refactor-ahead), batch driver |
 //! | [`load`] | `splu-load` | seeded multi-tenant workload generator and open-loop load driver (`splu loadgen`) |
 //!
@@ -66,7 +67,6 @@ pub use splu_symbolic as symbolic;
 
 /// The most commonly used items in one import.
 pub mod prelude {
-    pub use splu_core::par1d::{factor_par1d, Strategy1d};
     pub use splu_core::par2d::{factor_par2d, Sync2d};
     pub use splu_core::pipeline::lu_solve;
     pub use splu_core::{FactorOptions, FactorizedLu, SolverError, SparseLuSolver};

@@ -1,11 +1,10 @@
-//! Cross-backend equivalence: the sequential code, the 1D parallel codes
-//! (compute-ahead and graph-scheduled) and the 2D codes (async and
-//! barrier) must produce **bitwise-identical** factors and pivot
-//! sequences — the strongest possible check that the distributed
-//! protocols (delayed pivoting, structure-safe interchanges, pipelined
-//! updates) implement exactly the same arithmetic as the specification.
+//! Cross-backend equivalence: the sequential code and the 2D code (async
+//! and barrier, on 1D `1 × P` grids as well as 2D ones) must produce
+//! **bitwise-identical** factors and pivot sequences — the strongest
+//! possible check that the distributed protocols (delayed pivoting,
+//! structure-safe interchanges, pipelined updates) implement exactly the
+//! same arithmetic as the specification.
 
-use sstar::core::par1d::{factor_par1d, Strategy1d};
 use sstar::core::par2d::{factor_par2d, factor_par2d_with, Par2dOptions, Par2dResult, Sync2d};
 use sstar::core::seq::factor_sequential;
 use sstar::core::BlockMatrix;
@@ -39,18 +38,20 @@ fn assert_identical(
     }
 }
 
+/// The paper's 1D code is the 2D engine on a `1 × P` grid: block-cyclic
+/// column mapping, with one-step compute-ahead at `W = 1`.
 #[test]
 fn one_d_strategies_bitwise_match() {
     let a = gen::grid2d(9, 9, 0.5, ValueModel::default());
     let solver = SparseLuSolver::analyze(&a, FactorOptions::default());
-    let ap = &solver.permuted;
-    let (pattern, seq, piv) = setup(&a);
+    let (_, seq, piv) = setup(&a);
     for p in [1usize, 3, 6] {
-        let r = factor_par1d(ap, pattern.clone(), p, Strategy1d::ComputeAhead);
-        assert_identical("1D-CA", a.ncols(), &seq, &piv, &r.blocks, &r.pivots);
+        for w in [0usize, 1] {
+            let r = factor_stages(&solver, Grid::new(1, p), w);
+            let tag = format!("1D 1x{p} W={w}");
+            assert_identical(&tag, a.ncols(), &seq, &piv, &r.blocks, &r.pivots);
+        }
     }
-    let r = factor_par1d(ap, pattern, 4, Strategy1d::GraphScheduled(T3E));
-    assert_identical("1D-RAPID", a.ncols(), &seq, &piv, &r.blocks, &r.pivots);
 }
 
 #[test]

@@ -9,7 +9,6 @@
 //! * sequential, 1D and 2D executions stay **bitwise identical** at any
 //!   threshold (the distributed pivot rule matches the sequential one).
 
-use sstar::core::par1d::{factor_par1d_with, Par1dOptions};
 use sstar::core::par2d::{factor_par2d_with, Par2dOptions};
 use sstar::core::seq::factor_sequential_with;
 use sstar::core::BlockMatrix;
@@ -83,33 +82,27 @@ fn backends_bitwise_identical_at_threshold() {
     )
     .unwrap();
 
-    let opts1 = Par1dOptions {
-        threshold,
-        ..Par1dOptions::default()
-    };
-    let r1 = factor_par1d_with(&solver.permuted, solver.pattern.clone(), 3, &opts1).unwrap();
-    assert_eq!(r1.pivots, piv, "1D pivot sequences differ");
-
-    let opts2 = Par2dOptions {
+    let opts = Par2dOptions {
         threshold,
         window: 1,
         ..Par2dOptions::default()
     };
-    let r2 = factor_par2d_with(
-        &solver.permuted,
-        solver.pattern.clone(),
-        Grid::new(2, 2),
-        &opts2,
-    )
-    .unwrap();
-    assert_eq!(r2.pivots, piv, "2D pivot sequences differ");
-
-    let n = a.ncols();
-    for i in 0..n {
-        for j in 0..n {
-            let s = seq.get_entry(i, j);
-            assert!(s == r1.blocks.get_entry(i, j), "1D entry ({i},{j})");
-            assert!(s == r2.blocks.get_entry(i, j), "2D entry ({i},{j})");
+    // the 1D code's 1×3 grid and a 2D one
+    for (pr, pc) in [(1, 3), (2, 2)] {
+        let r = factor_par2d_with(
+            &solver.permuted,
+            solver.pattern.clone(),
+            Grid::new(pr, pc),
+            &opts,
+        )
+        .unwrap();
+        assert_eq!(r.pivots, piv, "{pr}x{pc} pivot sequences differ");
+        let n = a.ncols();
+        for i in 0..n {
+            for j in 0..n {
+                let s = seq.get_entry(i, j);
+                assert!(s == r.blocks.get_entry(i, j), "{pr}x{pc} entry ({i},{j})");
+            }
         }
     }
 }

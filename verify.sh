@@ -103,7 +103,7 @@ grep -q '"report": "splu_analyze"' results/ANALYZE_sherman5_2x2.json
 grep -q '"pipeline_depth_ok": true' results/ANALYZE_sherman5_2x2.json
 grep -q 'bound p_c + W = 3' results/ANALYZE_sherman5_2x2.txt
 
-# perf record: factor the synthetic suite with the seq/par1d/par2d
+# perf record: factor the synthetic suite with the seq/par2d
 # drivers. The fresh run is gated against the committed record — a
 # GFLOP/s drop beyond the tolerance on any driver/matrix fails — and on
 # being well-formed: every driver of every matrix reports a positive
@@ -124,15 +124,15 @@ if ! SPLU_BENCH_TOL_PCT="${SPLU_BENCH_TOL_PCT:-40}" \
     exit 1
 fi
 grep -q '"bench": "lu_factor"' results/BENCH_lu.json
-# 3 matrices × (seq + par1d + par2d + 4 lookahead-sweep points)
-test "$(grep -c '"gflops": ' results/BENCH_lu.json)" -eq 21
+# 3 matrices × (seq + par2d + 4 lookahead-sweep points)
+test "$(grep -c '"gflops": ' results/BENCH_lu.json)" -eq 18
 if grep -E '"gflops": (0\.0*[,}]|-)' results/BENCH_lu.json; then
     echo "verify: nonpositive GFLOP/s in BENCH_lu.json" >&2
     exit 1
 fi
 test "$(grep -c '"warmed_grow_events": 0' results/BENCH_lu.json)" -eq 3
-test "$(grep -c '"update": ' results/BENCH_lu.json)" -eq 9
-test "$(grep -c '"panel_wait_secs": ' results/BENCH_lu.json)" -eq 21
+test "$(grep -c '"update": ' results/BENCH_lu.json)" -eq 6
+test "$(grep -c '"panel_wait_secs": ' results/BENCH_lu.json)" -eq 18
 test "$(grep -c '"par2d_lookahead_sweep": ' results/BENCH_lu.json)" -eq 3
 test "$(grep -c '"speedup_vs_prev": ' results/BENCH_lu.json)" -eq 3
 test "$(grep -c '"pivot_wait_share": ' results/BENCH_lu.json)" -eq 3
@@ -159,7 +159,7 @@ test "$(grep -c '"nsubtrees": ' results/BENCH_lu.json)" -eq 4
 # headline (small) + large_suite
 test "$(grep -c '"geomean_speedup_vs_seq": ' results/BENCH_lu.json)" -eq 2
 # the carry-forward preserved the freshly measured small record
-test "$(grep -c '"gflops": ' results/BENCH_lu.json)" -eq 21
-test "$(grep -c '"panel_wait_secs": ' results/BENCH_lu.json)" -eq 21
+test "$(grep -c '"gflops": ' results/BENCH_lu.json)" -eq 18
+test "$(grep -c '"panel_wait_secs": ' results/BENCH_lu.json)" -eq 18
 
 echo "verify: all checks passed"
