@@ -451,7 +451,7 @@ fn fig_examples(_: &Ctx, t: &mut Table, _: &[&str], _: &[usize]) {
     let a5 = picture(&["x.x..", "xx...", "..xx.", ".x.xx", "x...x"]);
     let s5 = symfact(&a5);
     for k in 0..5 {
-        let (p, u, step) = (one_based(&s5.lcols[k]), one_based(&s5.urows[k]), k + 1);
+        let (p, u, step) = (one_based(s5.lcol(k)), one_based(s5.urow(k)), k + 1);
         let (cand, union) = (format!("P_{step} = {p:?}"), format!("U_{step} = {u:?}"));
         t.text(&format!("step {step}: candidates {cand}, union {union}"));
     }

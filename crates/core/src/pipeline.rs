@@ -23,6 +23,7 @@ use splu_sparse::{CscMatrix, Perm};
 use splu_symbolic::{
     amalgamate, partition_supernodes, static_symbolic_factorization, BlockPattern, StaticStructure,
 };
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Tuning knobs for the factorization pipeline.
@@ -178,11 +179,7 @@ impl SparseLuSolver {
     /// # Panics
     /// Panics if `a` is not square or is structurally singular.
     pub fn analyze(a: &CscMatrix, options: FactorOptions) -> Self {
-        let (a_scaled, row_scale, col_scale) = if options.equilibrate {
-            equilibrate(a)
-        } else {
-            (a.clone(), Vec::new(), Vec::new())
-        };
+        let (a_scaled, row_scale, col_scale) = scaled(a, options.equilibrate);
         let (permuted, row_perm, col_perm) = splu_order::preprocess(&a_scaled, options.ordering);
         let structure = static_symbolic_factorization(&permuted);
         let base = partition_supernodes(&structure, options.block_size);
@@ -274,11 +271,7 @@ impl SparseLuSolver {
                 got,
             });
         }
-        let (a_scaled, row_scale, col_scale) = if self.options.equilibrate {
-            equilibrate(a)
-        } else {
-            (a.clone(), Vec::new(), Vec::new())
-        };
+        let (a_scaled, row_scale, col_scale) = scaled(a, self.options.equilibrate);
         let permuted = a_scaled.permute(&self.row_perm, &self.col_perm);
         self.factor_permuted(&permuted, (row_scale, col_scale), None, scratch)
     }
@@ -585,6 +578,17 @@ impl FactorizedLu {
             x[jmax] = 1.0;
         }
         norm_a * est
+    }
+}
+
+/// `a` equilibrated, with its row and column scales, when `on`; else `a`
+/// itself, borrowed, with no scales.
+fn scaled(a: &CscMatrix, on: bool) -> (Cow<'_, CscMatrix>, Vec<f64>, Vec<f64>) {
+    if on {
+        let (m, r, c) = equilibrate(a);
+        (Cow::Owned(m), r, c)
+    } else {
+        (Cow::Borrowed(a), Vec::new(), Vec::new())
     }
 }
 

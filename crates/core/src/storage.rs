@@ -684,10 +684,10 @@ mod tests {
         let s = static_symbolic_factorization(&a);
         let mut m = build(&a, 4, 5);
         let orig = m.clone();
-        // rows 0 and s.lcols[0][1] are both candidates at step 0, so their
+        // rows 0 and s.lcol(0)[1] are both candidates at step 0, so their
         // static structures agree for all columns — a legal pivot pair.
         let r1 = 0usize;
-        let r2 = s.lcols[0][1] as usize;
+        let r2 = s.lcol(0)[1] as usize;
         for jj in 0..m.pattern.nblocks() {
             m.swap_rows(jj, r1, r2);
             m.swap_rows(jj, r1, r2);
@@ -705,7 +705,7 @@ mod tests {
         let s = static_symbolic_factorization(&a);
         let mut m = build(&a, 4, 5);
         let r1 = 0usize;
-        let r2 = s.lcols[0][1] as usize;
+        let r2 = s.lcol(0)[1] as usize;
         let row1: Vec<f64> = (0..25).map(|c| m.get_entry(r1, c)).collect();
         let row2: Vec<f64> = (0..25).map(|c| m.get_entry(r2, c)).collect();
         for jj in 0..m.pattern.nblocks() {

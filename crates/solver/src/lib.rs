@@ -139,8 +139,8 @@ fn approx_analysis_bytes(s: &SparseLuSolver) -> usize {
     let a = &s.permuted;
     let csc =
         a.nnz() * (size_of::<u32>() + size_of::<f64>()) + (a.ncols() + 1) * size_of::<usize>();
-    // static structure: row/column lists of predicted factor entries
-    let structure = s.structure.factor_nnz() * size_of::<u32>();
+    // static structure: one L and one U index list per supernode
+    let structure = s.structure.stored_bytes();
     // block pattern metadata: row/col lists per block (≈ one u32 per
     // stored panel entry is a deliberate overestimate; masks are smaller)
     let pattern = s.pattern.storage_entries() / 8 * size_of::<u32>();

@@ -131,6 +131,31 @@ impl ScatterMaps {
     }
 }
 
+/// Overwrite `out` with the sorted union of the sorted `lists`, using
+/// `seen` (stamped with `stamp`) to drop repeats. A single list comes out
+/// sorted as it is; only a union of several is sorted.
+fn union_from<'a>(
+    out: &mut Vec<u32>,
+    seen: &mut [usize],
+    stamp: usize,
+    lists: impl Iterator<Item = &'a [u32]>,
+) {
+    out.clear();
+    let mut nlists = 0;
+    for list in lists {
+        nlists += 1;
+        for &x in list {
+            if seen[x as usize] != stamp {
+                seen[x as usize] = stamp;
+                out.push(x);
+            }
+        }
+    }
+    if nlists > 1 {
+        out.sort_unstable();
+    }
+}
+
 fn find_l(v: &[LBlockPat], i: usize) -> Option<&LBlockPat> {
     v.binary_search_by_key(&(i as u32), |l| l.i)
         .ok()
@@ -163,10 +188,10 @@ fn merge_positions(needles: &[u32], haystack: &[u32], out: &mut Vec<u32>) {
 impl BlockPattern {
     /// Build the block pattern from the static structure and a partition.
     ///
-    /// Masks are unions over the supernode's columns/rows: before
-    /// amalgamation the union equals every member (Theorem 1); after
-    /// amalgamation the union realizes the "almost dense" structures of
-    /// Corollary 3.
+    /// Masks are unions over the block's columns/rows: inside a
+    /// fundamental supernode the union equals every member (Theorem 1);
+    /// across the fundamental pieces an amalgamated block joins, the union
+    /// realizes the "almost dense" structures of Corollary 3.
     pub fn build(s: &StaticStructure, part: &SupernodePartition) -> Self {
         let mut bp = Self::build_masks(s, part);
         // Second pass: with every block's mask known, precompute the
@@ -194,17 +219,32 @@ impl BlockPattern {
         let block_of = part.block_of_index();
         let mut l_blocks: Vec<Vec<LBlockPat>> = Vec::with_capacity(nb);
         let mut u_blocks: Vec<Vec<UBlockPat>> = Vec::with_capacity(nb);
+        let mut seen = vec![usize::MAX; s.n()];
+        let mut rows: Vec<u32> = Vec::new();
+        let mut cols: Vec<u32> = Vec::new();
 
         for b in 0..nb {
             let lo = part.start(b);
             let hi = part.starts[b + 1];
+            // The fundamental supernodes the block meets. Inside one, each
+            // column's lists drop only the column's own index, so the
+            // first column the block holds (`max(lo, start)`) represents
+            // the piece for every index ≥ hi.
+            let pieces = s.supernode_of(lo)..=s.supernode_of(hi - 1);
+            let rep = |sn: usize| lo.max(s.starts()[sn]);
+            let at_or_after_hi = |v: &'_ [u32]| -> std::ops::Range<usize> {
+                v.partition_point(|&x| (x as usize) < hi)..v.len()
+            };
 
-            let mut rows: Vec<u32> = Vec::new();
-            for k in lo..hi {
-                rows.extend(s.lcols[k].iter().copied().filter(|&r| (r as usize) >= hi));
-            }
-            rows.sort_unstable();
-            rows.dedup();
+            union_from(
+                &mut rows,
+                &mut seen,
+                2 * b,
+                pieces.clone().map(|sn| {
+                    let l = s.sn_lcol(sn, rep(sn));
+                    &l[at_or_after_hi(l)]
+                }),
+            );
             let mut lb: Vec<LBlockPat> = Vec::new();
             for &r in &rows {
                 let ib = block_of[r as usize];
@@ -218,12 +258,15 @@ impl BlockPattern {
             }
             l_blocks.push(lb);
 
-            let mut cols: Vec<u32> = Vec::new();
-            for k in lo..hi {
-                cols.extend(s.urows[k].iter().copied().filter(|&c| (c as usize) >= hi));
-            }
-            cols.sort_unstable();
-            cols.dedup();
+            union_from(
+                &mut cols,
+                &mut seen,
+                2 * b + 1,
+                pieces.map(|sn| {
+                    let u = s.sn_urow(sn, rep(sn));
+                    &u[at_or_after_hi(u)]
+                }),
+            );
             let mut ub: Vec<UBlockPat> = Vec::new();
             for &c in &cols {
                 let jb = block_of[c as usize];
@@ -517,7 +560,7 @@ mod tests {
     #[test]
     fn theorem1_u_blocks_are_dense_subcolumns_pre_amalgamation() {
         // Without amalgamation, every U block subcolumn must be present in
-        // EVERY row of its supernode: cols ∈ urows[k] for all k in block.
+        // EVERY row of its supernode: cols ∈ urow(k) for all k in block.
         let a = gen::grid2d(8, 8, 0.3, ValueModel::default());
         let (s, bp) = build(&a, 0);
         for k in 0..bp.nblocks() {
@@ -527,7 +570,7 @@ mod tests {
                 for &c in &u.cols {
                     for row in lo..hi {
                         assert!(
-                            s.urows[row].binary_search(&c).is_ok(),
+                            s.urow(row).binary_search(&c).is_ok(),
                             "U block ({k},{}) col {c} missing from row {row}",
                             u.j
                         );

@@ -10,7 +10,9 @@
 //!    scheme: at each elimination step, every *candidate pivot row*'s
 //!    structure is replaced by the union of all candidate structures, so
 //!    the predicted pattern accommodates *any* pivot sequence that could
-//!    occur (§3.1, Fig. 2).
+//!    occur (§3.1, Fig. 2). The result is stored once per fundamental
+//!    supernode: inside one, each column's structure is the previous
+//!    column's minus its first index (Theorem 1).
 //! 2. **2D L/U supernode partitioning** ([`supernode`]) — columns are
 //!    grouped into supernodes from the static L structure; the same
 //!    partition applied to the rows tiles the matrix into submatrices

@@ -1,10 +1,11 @@
 //! Supernode partitioning and amalgamation (§3.2–3.3 of the paper).
 //!
 //! A supernode is a group of consecutive columns with nested L structure:
-//! `P_{k+1} = P_k \ {k}`. After static symbolic factorization this test is
-//! a direct comparison of adjacent static L columns. Theorem 1 then
-//! guarantees that applying the same partition to the rows yields U blocks
-//! made of structurally dense subcolumns.
+//! `P_{k+1} = P_k \ {k}`. The static symbolic factorization finds the
+//! fundamental supernodes as it goes and stores the structure once per
+//! supernode ([`StaticStructure::starts`]), so partitioning only caps their
+//! widths. Theorem 1 then guarantees that applying the same partition to
+//! the rows yields U blocks made of structurally dense subcolumns.
 //!
 //! Supernodes in real sparse matrices average only 1.5–2 columns, which
 //! makes tasks too fine-grained; [`amalgamate`] merges *consecutive*
@@ -75,32 +76,21 @@ impl SupernodePartition {
     }
 }
 
-/// Detect supernodes from the static L structure, capping widths at
-/// `max_width` (the paper uses block size 25: bigger blocks reduce
-/// available parallelism, smaller ones reduce BLAS-3 efficiency).
+/// Cap the fundamental supernodes of the static structure at
+/// `max_width` columns (the paper uses block size 25: bigger blocks reduce
+/// available parallelism, smaller ones reduce BLAS-3 efficiency). A
+/// supernode wider than the cap is cut into `max_width`-wide pieces from
+/// its first column.
 pub fn partition_supernodes(s: &StaticStructure, max_width: usize) -> SupernodePartition {
     assert!(max_width >= 1);
-    let n = s.n();
-    let mut starts = vec![0usize];
-    let mut width = 1usize;
-    for k in 1..n {
-        let nested = is_nested(&s.lcols[k - 1], &s.lcols[k]);
-        if nested && width < max_width {
-            width += 1;
-        } else {
-            starts.push(k);
-            width = 1;
-        }
+    let mut starts = Vec::with_capacity(s.starts().len());
+    for w in s.starts().windows(2) {
+        starts.extend((w[0]..w[1]).step_by(max_width));
     }
-    starts.push(n);
+    starts.push(s.n());
     let p = SupernodePartition { starts };
     p.validate();
     p
-}
-
-/// `lcols[k+1] == lcols[k] \ {k}` — the L-supernode nesting test.
-fn is_nested(prev: &[u32], next: &[u32]) -> bool {
-    prev.len() == next.len() + 1 && prev[1..] == *next
 }
 
 /// Amalgamate consecutive supernodes whose structures differ by at most
@@ -159,19 +149,19 @@ pub fn amalgamate(
 /// on — on a bordered block-diagonal matrix it chains every diagonal
 /// block through the merged boundary blocks.
 fn etree_child_of_next(s: &StaticStructure, boundary: usize, next_end: usize) -> bool {
-    s.lcols[boundary - 1]
+    s.lcol(boundary - 1)
         .iter()
         .map(|&r| r as usize)
         .find(|&r| r >= boundary)
         .is_some_and(|r| r < next_end)
 }
 
-/// Number of rows in `lcols[boundary - 1] \ ({boundary - 1} ∪ lcols[boundary])`:
+/// Number of rows in `lcol(boundary - 1) \ ({boundary - 1} ∪ lcol(boundary))`:
 /// the padded zeros per column that merging across `boundary` would add to
 /// the lower panel.
 fn structure_difference(s: &StaticStructure, boundary: usize) -> usize {
-    let prev = &s.lcols[boundary - 1];
-    let next = &s.lcols[boundary];
+    let prev = s.lcol(boundary - 1);
+    let next = s.lcol(boundary);
     let mut diff = 0usize;
     let mut j = 0usize;
     for &rowu in prev.iter() {
@@ -257,12 +247,33 @@ mod tests {
         let p = partition_supernodes(&s, 25);
         for b in 0..p.nblocks() {
             for k in p.start(b)..p.starts[b + 1] - 1 {
-                assert!(
-                    is_nested(&s.lcols[k], &s.lcols[k + 1]),
+                assert_eq!(
+                    s.lcol(k)[1..],
+                    *s.lcol(k + 1),
                     "columns {k},{} in block {b} must nest",
                     k + 1
                 );
             }
+        }
+    }
+
+    #[test]
+    fn the_cap_cuts_fundamental_supernodes_from_their_first_column() {
+        let a = gen::grid2d(9, 9, 0.3, ValueModel::default());
+        let s = static_symbolic_factorization(&a);
+        assert_eq!(partition_supernodes(&s, usize::MAX).starts, s.starts());
+        for cap in [1usize, 2, 3, 5] {
+            let p = partition_supernodes(&s, cap);
+            let mut want = vec![];
+            for w in s.starts().windows(2) {
+                let mut k = w[0];
+                while k < w[1] {
+                    want.push(k);
+                    k += cap;
+                }
+            }
+            want.push(s.n());
+            assert_eq!(p.starts, want, "cap {cap}");
         }
     }
 

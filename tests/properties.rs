@@ -3,6 +3,8 @@
 //! * the static symbolic factorization covers the actual fill of GEPP
 //!   with trailing interchanges for arbitrary patterns and values,
 //! * Theorem 1: U blocks contain only structurally dense subcolumns,
+//! * the static structure stored once per fundamental supernode expands
+//!   to the textbook per-column structure,
 //! * the full pipeline is a backward-stable solver on random inputs,
 //! * permutation/pattern algebra round-trips.
 //!
@@ -10,9 +12,11 @@
 //! build environment is offline), so any failure reproduces exactly.
 
 use sstar::prelude::*;
+use sstar::sparse::gen::{self, ValueModel};
 use sstar::sparse::pattern::{at_plus_a_pattern, structural_symmetry};
 use sstar::sparse::rng::SmallRng;
 use sstar::sparse::{CooMatrix, CscMatrix};
+use sstar::symbolic::symfact::naive_symbolic_factorization;
 use sstar::symbolic::{partition_supernodes, static_symbolic_factorization};
 
 /// Random sparse nonsingular-ish matrix with a zero-free diagonal.
@@ -126,6 +130,43 @@ fn static_structure_covers_trailing_swap_gepp() {
     }
 }
 
+/// `lcol(k)`/`urow(k)` of the supernodal structure equal the textbook
+/// per-column lists, and the stored supernode starts are exactly the
+/// boundaries of the adjacent-column nesting test
+/// `lcols[k] == lcols[k - 1] \ {k - 1}`.
+#[test]
+fn supernodal_structure_expands_to_the_per_column_oracle() {
+    let vm = |seed| ValueModel {
+        diag_scale: 1.0,
+        seed,
+    };
+    let mut inputs: Vec<CscMatrix> = (0..CASES)
+        .map(|seed| sparse_matrix(0x5401 + seed, 60))
+        .collect();
+    for seed in 0..4 {
+        inputs.push(gen::grid2d(5 + seed as usize, 7, 0.3, vm(seed)));
+        inputs.push(gen::banded(90, 1 + 2 * seed as usize, 0.5, vm(seed)));
+    }
+    for (case, a) in inputs.iter().enumerate() {
+        let n = a.ncols();
+        let s = static_symbolic_factorization(a);
+        let oracle = naive_symbolic_factorization(a);
+        for k in 0..n {
+            assert_eq!(s.lcol(k), &oracle.lcols[k][..], "case {case}: L column {k}");
+            assert_eq!(s.urow(k), &oracle.urows[k][..], "case {case}: U row {k}");
+        }
+        let mut starts = vec![0];
+        for k in 1..n {
+            let (prev, next) = (&oracle.lcols[k - 1], &oracle.lcols[k]);
+            if !(prev.len() == next.len() + 1 && prev[1..] == next[..]) {
+                starts.push(k);
+            }
+        }
+        starts.push(n);
+        assert_eq!(s.starts(), &starts[..], "case {case}: supernode starts");
+    }
+}
+
 #[test]
 fn theorem1_dense_subcolumns() {
     for seed in 0..CASES {
@@ -142,7 +183,7 @@ fn theorem1_dense_subcolumns() {
                 for &c in &u.cols {
                     for row in lo..hi {
                         assert!(
-                            s.urows[row].binary_search(&c).is_ok(),
+                            s.urow(row).binary_search(&c).is_ok(),
                             "seed {seed}: Theorem 1 violated at row {row}, col {c}"
                         );
                     }

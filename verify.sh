@@ -18,6 +18,11 @@ cargo test -q -p splu-core --test stacked_update --test delivery_jitter
 cargo test -q -p splu-core --test stacked_update --test delivery_jitter \
     --no-default-features
 
+# the analysis identity: permutations, supernode starts, partition, block
+# masks, scatter maps and predicted counts pinned by hash, in both configs
+cargo test -q --test analysis_identity
+cargo test -q --test analysis_identity --no-default-features
+
 # the one factor entry point: the crossover decision, the 1×P grid
 # bitwise equal to the sequential code, a warmed parallel refactor that
 # grows nothing, a typed error on singular input; also on one test thread
