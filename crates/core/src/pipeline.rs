@@ -94,10 +94,11 @@ fn available_cores() -> usize {
 /// Pattern flops ([`BlockPattern::factor_flops`]) from which the one
 /// factor entry point runs the 2D engine when the core budget allows.
 /// Measured on a 2-vCPU host (EXPERIMENTS.md, "Parallel on the product
-/// path"): at 2 cores the `1 × 2` grid was slower than the sequential code
-/// on every matrix up to sherman5 (1.1e9 flops), whose stage protocol,
-/// thread start-up and rank copy-in cost more than the second core
-/// saves, and faster on every matrix from hiergrid50k (1.6e9 flops) up.
+/// path", re-measured in "Ordering"): at 2 cores the `1 × 2` grid is
+/// faster than the sequential code on every matrix from goodwin (1.8e9
+/// flops) up; below, the stage protocol, thread start-up and rank
+/// copy-in can cost more than the second core saves (hiergrid50k, 1.2e9
+/// flops, is level or slower), and flops alone do not separate the rows.
 pub const PARALLEL_MIN_FLOPS: u64 = 1_300_000_000;
 
 /// The widest grid the one factor entry point runs: the crossover

@@ -5,9 +5,9 @@
 //! standard GEPP accuracy machinery:
 //!
 //! * [`refine`] — fixed-precision iterative refinement: with a backward-
-//!   stable factorization, one or two steps of `r = b − A x`,
-//!   `A δ = r`, `x ← x + δ` typically drive the componentwise residual
-//!   to machine-epsilon level;
+//!   stable factorization, at most one or two steps of `r = b − A x`,
+//!   `A δ = r`, `x ← x + δ` typically drive the backward error to the
+//!   unit roundoff, where it stops;
 //! * [`SolveQuality`] — residual norms and the pivot-growth factor
 //!   `max|U| / max|A|`, the classical stability indicator for partial
 //!   pivoting.
@@ -49,8 +49,11 @@ fn inf_norm(v: &[f64]) -> f64 {
 }
 
 /// Solve `A x = b` with iterative refinement: repeat
-/// `x ← x + A⁻¹(b − A x)` until the backward error stops improving or
-/// `max_steps` is reached. Returns the refined solution and its quality.
+/// `x ← x + A⁻¹(b − A x)` while the backward error is above the unit
+/// roundoff `u = ε/2`, each step at least halves the residual (LAPACK
+/// `xGERFS`'s stopping rule), and fewer than `max_steps` steps were
+/// taken. A step that does not reduce the residual is discarded. Returns
+/// the refined solution and its quality.
 pub fn refine(
     lu: &FactorizedLu,
     a: &CscMatrix,
@@ -65,6 +68,14 @@ pub fn refine(
     lu.solve_with(b, &mut x, &mut ws).expect("rhs length");
     let norm_a = a.norm_inf();
     let norm_b = inf_norm(b);
+    let backward_error = |r: f64, x: &[f64]| {
+        let denom = norm_a * inf_norm(x) + norm_b;
+        if denom > 0.0 {
+            r / denom
+        } else {
+            0.0
+        }
+    };
     let mut steps = 0usize;
     let mut r = vec![0.0; n];
     residual_into(a, &x, b, &mut r);
@@ -72,10 +83,7 @@ pub fn refine(
     let mut dx = vec![0.0; n];
     let mut xn = vec![0.0; n];
     let mut rn = vec![0.0; n];
-    for _ in 0..max_steps {
-        if best == 0.0 {
-            break;
-        }
+    while steps < max_steps && best > 0.0 && backward_error(best, &x) > f64::EPSILON / 2.0 {
         lu.solve_with(&r, &mut dx, &mut ws).expect("rhs length");
         for i in 0..n {
             xn[i] = x[i] + dx[i];
@@ -83,17 +91,20 @@ pub fn refine(
         residual_into(a, &xn, b, &mut rn);
         let rn_norm = inf_norm(&rn);
         if rn_norm >= best {
-            break; // converged (or stagnated) — keep the previous iterate
+            break; // stagnated: keep the previous iterate
         }
         std::mem::swap(&mut x, &mut xn);
         std::mem::swap(&mut r, &mut rn);
+        let halved = 2.0 * rn_norm <= best;
         best = rn_norm;
         steps += 1;
+        if !halved {
+            break;
+        }
     }
-    let denom = norm_a * inf_norm(&x) + norm_b;
     let quality = SolveQuality {
         residual_inf: best,
-        backward_error: if denom > 0.0 { best / denom } else { 0.0 },
+        backward_error: backward_error(best, &x),
         steps,
     };
     (x, quality)
@@ -182,5 +193,47 @@ mod tests {
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
         let (_, q) = refine(&lu, &a, &b, 5);
         assert!(q.steps <= 5);
+    }
+
+    #[test]
+    fn a_solve_already_at_roundoff_takes_no_step() {
+        let (a, lu) = setup(12);
+        let n = a.ncols();
+        let b: Vec<f64> = (0..n).map(|i| ((i * 37 % 11) as f64) - 5.0).collect();
+        let plain = lu.solve(&b);
+        let r_plain = inf_norm(&residual(&a, &plain, &b));
+        let be_plain = r_plain / (a.norm_inf() * inf_norm(&plain) + inf_norm(&b));
+        assert!(
+            r_plain > 0.0 && be_plain <= f64::EPSILON / 2.0,
+            "plain solve's backward error {be_plain:e} is not in (0, u]"
+        );
+        let (x, q) = refine(&lu, &a, &b, 5);
+        assert_eq!(q.steps, 0);
+        assert_eq!(q.residual_inf, r_plain);
+        assert_eq!(x, plain);
+    }
+
+    #[test]
+    fn a_step_that_does_not_halve_the_residual_ends_refinement() {
+        // refine against 1.7·A with the factors of A: each step keeps 0.7
+        // of the residual, so the first step is kept and is the last
+        let (a, lu) = setup(10);
+        let scaled: Vec<f64> = a.values().iter().map(|v| 1.7 * v).collect();
+        let a17 = CscMatrix::from_parts(
+            a.nrows(),
+            a.ncols(),
+            a.col_ptr().to_vec(),
+            a.row_indices().to_vec(),
+            scaled,
+        );
+        let b: Vec<f64> = (0..a.ncols()).map(|i| (i as f64 * 0.7).sin()).collect();
+        let r0 = inf_norm(&residual(&a17, &lu.solve(&b), &b));
+        let (_, q) = refine(&lu, &a17, &b, 5);
+        assert_eq!(q.steps, 1);
+        assert!(
+            (q.residual_inf / r0 - 0.7).abs() < 1e-9,
+            "{}",
+            q.residual_inf / r0
+        );
     }
 }

@@ -10,12 +10,11 @@
 //!   precomputed scatter map,
 //! * `static_factor_nnz` and `predicted_flops`,
 //!
-//! and compares them with the values the per-column implementation of
-//! the static symbolic factorization produced. It uses only public API
-//! that both implementations share, so the same file checks any two
-//! versions of the pipeline against each other. On a deliberate change
-//! of the analysis, re-run it and copy the printed actual digest over the
-//! pinned one.
+//! and compares them with pinned values, last recorded when min-degree
+//! began to count each supervariable of an element once. It uses only
+//! public API, so the same file checks any two versions of the pipeline
+//! against each other. On a deliberate change of the analysis, re-run it
+//! and copy the printed actual digest over the pinned one.
 
 use sstar::core::{FactorOptions, SparseLuSolver};
 use sstar::load::workload::{tenant_matrix, LoadConfig, Tenant, TenantClass};
@@ -113,13 +112,13 @@ fn goodwin_analysis_is_pinned() {
     check(
         &suite_matrix("goodwin", 0.3),
         Digest {
-            perms: 0x2746435f0793bd05,
-            fundamental_starts: 0x6de679ccc970f14d,
-            partition: 0x5cbd94880530dfd9,
-            masks: 0xdf631ef95bc9930b,
-            scatter_maps: 0x01440b2bf2d42add,
-            factor_nnz: 615_025,
-            predicted_flops: 130_293_527,
+            perms: 0x1b720f059cb8b2b5,
+            fundamental_starts: 0xe865336a2c00ce8e,
+            partition: 0x2ce4be342febaf85,
+            masks: 0xa07e316828ffdac3,
+            scatter_maps: 0xa0594549ad5633d6,
+            factor_nnz: 501_090,
+            predicted_flops: 86_033_827,
         },
     );
 }
@@ -129,13 +128,13 @@ fn sherman5_analysis_is_pinned() {
     check(
         &suite_matrix("sherman5", 0.5),
         Digest {
-            perms: 0xb9155f1563e2c971,
-            fundamental_starts: 0x6034fc139c850db1,
-            partition: 0xec728aa8f7f8115f,
-            masks: 0x50c91fae2530ad6d,
-            scatter_maps: 0xda996befa0ca6f29,
-            factor_nnz: 476_447,
-            predicted_flops: 101_633_619,
+            perms: 0xe9bb5fce77e60449,
+            fundamental_starts: 0xb6340cd9e03b2bdd,
+            partition: 0x73c7af4f9425242d,
+            masks: 0xe6615006505c56b8,
+            scatter_maps: 0xe547f87e5688363a,
+            factor_nnz: 395_454,
+            predicted_flops: 64_934_176,
         },
     );
 }
@@ -150,13 +149,13 @@ fn banded_analysis_is_pinned() {
     check(
         &gen::banded(1500, 6, 0.5, vm),
         Digest {
-            perms: 0xf6cc6b56d5fed835,
-            fundamental_starts: 0x4d66c01aa4d19969,
-            partition: 0x31a32145203b1acb,
-            masks: 0x13978a6b3f242f8e,
-            scatter_maps: 0xb3b16e2174692ffe,
-            factor_nnz: 41_155,
-            predicted_flops: 551_072,
+            perms: 0xa07af5f613129db5,
+            fundamental_starts: 0xde49106b5342a4b3,
+            partition: 0x397e53f037b34eb3,
+            masks: 0xef70c6494da6e03f,
+            scatter_maps: 0xd69156f09f3d3813,
+            factor_nnz: 31_286,
+            predicted_flops: 298_884,
         },
     );
 }
@@ -172,13 +171,13 @@ fn cold_start_tenant_analysis_is_pinned() {
     check(
         &tenant_matrix(&tenant, 1, &LoadConfig::default()),
         Digest {
-            perms: 0xd0fc5f73e07f8fad,
-            fundamental_starts: 0xc61d2c62a58a5a29,
-            partition: 0x1276211bb59cb7cb,
-            masks: 0x85bfd5378819b639,
-            scatter_maps: 0xccbf99c4fb0bfb1e,
-            factor_nnz: 925_034,
-            predicted_flops: 129_363_412,
+            perms: 0xa19d9a5c36b4343d,
+            fundamental_starts: 0x9287a406f1952a5a,
+            partition: 0x808f180857c2bb61,
+            masks: 0x7edc0fae044628ed,
+            scatter_maps: 0x814e2c46a409bece,
+            factor_nnz: 777_038,
+            predicted_flops: 79_181_767,
         },
     );
 }

@@ -110,7 +110,8 @@ fn the_crossover_depends_on_the_pattern_and_the_budget() {
         ("87x87 cold-start tenant", largest, None),
         ("jpwh991", suite_matrix("jpwh991"), None),
         ("sherman5", suite_matrix("sherman5"), None),
-        ("hiergrid50k", suite_matrix("hiergrid50k"), two),
+        ("sherman3", suite_matrix("sherman3"), None),
+        ("hiergrid50k", suite_matrix("hiergrid50k"), None),
         ("goodwin", suite_matrix("goodwin"), two),
     ];
     for (label, a, grid) in cases {
@@ -134,7 +135,7 @@ fn the_crossover_depends_on_the_pattern_and_the_budget() {
 #[test]
 fn parallel_factorizations_are_bitwise_the_sequential_ones() {
     // the cheapest suite matrix above the crossover (1.8e9 flops)
-    let a = suite_matrix("sherman3");
+    let a = suite_matrix("goodwin");
     let seq = analyze(&a, 1);
     let par = analyze(&a, 2);
     assert_eq!(grid_of(&seq), None);
@@ -165,7 +166,7 @@ fn parallel_factorizations_are_bitwise_the_sequential_ones() {
 
 #[test]
 fn singular_input_above_the_crossover_is_a_typed_error() {
-    let a = suite_matrix("sherman3");
+    let a = suite_matrix("goodwin");
     let par = analyze(&a, 2);
     assert!(grid_of(&par).is_some());
     // zero every stored value of the column eliminated a quarter of the

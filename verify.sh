@@ -23,6 +23,12 @@ cargo test -q -p splu-core --test stacked_update --test delivery_jitter \
 cargo test -q --test analysis_identity
 cargo test -q --test analysis_identity --no-default-features
 
+# the ordering identity: min-degree's exact permutation against a
+# reference that recomputes the documented degree bound from explicit
+# sets, in both configs
+cargo test -q -p splu-order
+cargo test -q -p splu-order --no-default-features
+
 # the one factor entry point: the crossover decision, the 1×P grid
 # bitwise equal to the sequential code, a warmed parallel refactor that
 # grows nothing, a typed error on singular input; also on one test thread
