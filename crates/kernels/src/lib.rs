@@ -39,7 +39,7 @@ pub use blas3::{
     packed_b_len, scatter_sub, GemmScratch, Scatter, SegmentPack,
 };
 pub use dense_lu::{dense_lu, dense_solve, DenseLu};
-pub use flops::{FlopClass, FlopCounter};
+pub use flops::FlopClass;
 pub use matrix::DenseMat;
 
 #[cfg(test)]

@@ -27,7 +27,9 @@
 use crate::workload::{generate, tenant_matrix, EventKind, LoadConfig, Schedule};
 use splu_probe::metrics::Registry;
 use splu_solver::concurrent::{ConcurrentConfig, ConcurrentService};
+use splu_solver::gate::push_service_blocks;
 use splu_solver::queue::JobStatus;
+use splu_solver::requests::{forward_error, manufactured_rhs};
 use splu_solver::{AheadStats, CacheStats, QueueStats, ShardSnapshot};
 use splu_sparse::CscMatrix;
 use std::collections::HashMap;
@@ -86,17 +88,6 @@ pub struct LoadReport {
     pub metrics: Arc<Registry>,
 }
 
-/// Deterministic synthetic solution for request `id`.
-fn x_true(n: usize, nrhs: usize, id: usize) -> Vec<f64> {
-    let mut x = vec![0.0; n * nrhs];
-    for c in 0..nrhs {
-        for i in 0..n {
-            x[c * n + i] = ((i * 7 + c * 13 + id * 31) % 17) as f64 * 0.25 - 2.0;
-        }
-    }
-    x
-}
-
 /// Replay `schedule` (or generate it from `cfg`) against a
 /// [`ConcurrentService`] configured by `service_cfg`.
 pub fn run_load(cfg: &LoadConfig, service_cfg: ConcurrentConfig) -> LoadReport {
@@ -143,18 +134,13 @@ pub fn run_schedule(
                 let a = current[tenant]
                     .as_ref()
                     .expect("schedule guarantees NewValues first");
-                let n = a.ncols();
                 let sampled = id.is_multiple_of(SAMPLE_EVERY);
                 let b = if sampled {
-                    let xt = x_true(n, nrhs, id);
-                    let mut b = vec![0.0; n * nrhs];
-                    for c in 0..nrhs {
-                        a.matvec_into(&xt[c * n..(c + 1) * n], &mut b[c * n..(c + 1) * n]);
-                    }
+                    let (xt, b) = manufactured_rhs(a, nrhs, id);
                     samples.insert(id, xt);
                     b
                 } else {
-                    vec![1.0; n * nrhs]
+                    vec![1.0; a.ncols() * nrhs]
                 };
                 let deadline_us = if sampled { None } else { deadline_us };
                 svc.submit_solve(id, a, b, nrhs, deadline_us, !sampled);
@@ -184,11 +170,7 @@ pub fn run_schedule(
                 solved += 1;
                 if let Some(xt) = samples.get(&r.id) {
                     let x = r.x.as_ref().expect("sampled solve keeps its solution");
-                    let err = x
-                        .iter()
-                        .zip(xt)
-                        .fold(0.0f64, |m, (p, q)| m.max((p - q).abs()));
-                    max_err = max_err.max(err);
+                    max_err = max_err.max(forward_error(x, xt));
                     samples_checked += 1;
                 }
             }
@@ -257,41 +239,7 @@ impl LoadReport {
             "  \"max_err\": {:e},\n  \"samples_checked\": {},\n",
             self.max_err, self.samples_checked
         ));
-        out.push_str("  \"latency_us\": {\n");
-        let phases = [
-            ("e2e", "splu_request_us"),
-            ("solve", "splu_solve_us"),
-            ("wait", "splu_solve_wait_us"),
-            ("factor", "splu_factor_us"),
-        ];
-        for (i, (key, hist)) in phases.iter().enumerate() {
-            let s = self.metrics.histogram_summary(hist);
-            out.push_str(&format!(
-                "    \"{key}\": {{\"count\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}{}\n",
-                s.count,
-                s.p50,
-                s.p95,
-                s.p99,
-                if i + 1 < phases.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  },\n");
-        out.push_str(&format!(
-            "  \"cache_hit_rate\": {:.6},\n",
-            self.cache.hit_rate()
-        ));
-        out.push_str(&format!(
-            "  \"cache\": {{\"analysis_hits\": {}, \"analysis_misses\": {}, \
-             \"factor_hits\": {}, \"refactors\": {}, \"evictions\": {}, \
-             \"resident_bytes\": {}}},\n",
-            self.cache.analysis_hits,
-            self.cache.analysis_misses,
-            self.cache.factor_hits,
-            self.cache.refactors,
-            self.cache.evictions,
-            self.cache_resident_bytes,
-        ));
-        out.push_str(&format!(
+        let refactor_ahead = format!(
             "  \"refactor_ahead\": {{\"prefetches\": {}, \"spec_started\": {}, \
              \"hits_ready\": {}, \"hits_inflight\": {}, \"demand_flights\": {}, \
              \"hit_rate\": {:.6}}},\n",
@@ -301,16 +249,21 @@ impl LoadReport {
             self.ahead.hits_inflight,
             self.ahead.demand_flights,
             self.ahead.hit_rate(),
-        ));
-        out.push_str(&format!(
-            "  \"queue\": {{\"accepted\": {}, \"rejected_full\": {}, \
-             \"expired\": {}, \"solved\": {}, \"failed\": {}}},\n",
-            self.queue.accepted,
-            self.queue.rejected_full,
-            self.queue.expired,
-            self.queue.solved,
-            self.queue.failed,
-        ));
+        );
+        push_service_blocks(
+            &mut out,
+            &self.metrics,
+            &[
+                ("e2e", "splu_request_us"),
+                ("solve", "splu_solve_us"),
+                ("wait", "splu_solve_wait_us"),
+                ("factor", "splu_factor_us"),
+            ],
+            &self.cache,
+            self.cache_resident_bytes,
+            &refactor_ahead,
+            &self.queue,
+        );
         out.push_str(&format!("  \"factor_tasks\": {},\n", self.factor_tasks));
         out.push_str("  \"shards\": [\n");
         for (i, s) in self.shard_snapshots.iter().enumerate() {

@@ -16,11 +16,9 @@
 //! randomness — behaviour is bit-for-bit deterministic) and is driven by
 //! a configurable capacity in bytes, using the factor-storage accounting
 //! from `splu-core` plus an estimate of the symbolic products. Counters
-//! for every transition are kept in [`CacheStats`] and can be exported
-//! through a `splu-probe` [`Probe`](splu_probe::Probe).
+//! for every transition are kept in [`CacheStats`].
 
 use crate::{Analysis, Factorization};
-use splu_probe::Probe;
 use std::collections::HashMap;
 
 /// Capacity configuration for [`FactorCache`].
@@ -60,16 +58,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Export the counters through a probe (they appear in the flight
-    /// recorder's per-processor counter table and the run summary).
-    pub fn export(&self, probe: &Probe) {
-        probe.count("solver_cache_analysis_hit", self.analysis_hits);
-        probe.count("solver_cache_analysis_miss", self.analysis_misses);
-        probe.count("solver_cache_factor_hit", self.factor_hits);
-        probe.count("solver_cache_refactor", self.refactors);
-        probe.count("solver_cache_eviction", self.evictions);
-    }
-
     /// Fraction of lookups that reused cached work — either a full
     /// factor hit or a cached analysis (numeric refactor only). 0.0 when
     /// no lookups happened. The headline reuse statistic the
@@ -101,8 +89,8 @@ impl Entry {
 
 /// LRU factorization cache keyed by pattern fingerprint.
 ///
-/// Not internally synchronised — [`SolverService`](crate::SolverService)
-/// wraps it in a mutex for concurrent use.
+/// Not internally synchronised — [`ShardedCache`](crate::ShardedCache)
+/// wraps each shard in a mutex for concurrent use.
 pub struct FactorCache {
     config: CacheConfig,
     entries: HashMap<u64, Entry>,

@@ -1,11 +1,14 @@
 //! Concurrent serving layer: factor worker pool, sharded cache, and
 //! speculative refactor-ahead with single-flight dedup.
 //!
-//! [`SolverService`](crate::SolverService) serializes every
-//! factorization through one cache mutex and factors on the caller's
-//! thread; under mixed-tenant traffic a large cold-start factorization
-//! blocks every cheap same-pattern refactor queued behind it.
-//! [`ConcurrentService`] removes both bottlenecks:
+//! [`ConcurrentService`] is the one front end over the factorization
+//! cache: every request resolves through the same full-hit →
+//! cached-analysis → cold-analysis policy ([`Reuse`]), run by one
+//! factor task per `(pattern, values)` key. `splu serve` drives it one
+//! request at a time ([`run_batch`](crate::run_batch)), `splu loadgen`
+//! and the serving benchmark open-loop. Under mixed-tenant traffic a
+//! large cold-start factorization must not block the cheap same-pattern
+//! refactors queued behind it, hence:
 //!
 //! * **factor pool** — factorizations run on their own fixed pool of
 //!   `splu-factor-{w}` threads, so independent matrices factor
@@ -40,7 +43,6 @@
 
 use crate::cache::{CacheConfig, CacheStats, FactorCache};
 use crate::queue::{JobReport, JobStatus, QueueStats, SolveJob, WorkerPool};
-use crate::service::Reuse;
 use crate::{Analysis, Factorization};
 use splu_core::{FactorOptions, SolverError};
 use splu_probe::metrics::Registry;
@@ -79,6 +81,30 @@ impl Default for ConcurrentConfig {
             solve_queue_cap: 256,
             cache_bytes: 256 << 20,
             options: FactorOptions::default(),
+        }
+    }
+}
+
+/// How much cached work resolving a request reused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reuse {
+    /// Pattern and values both matched: the cached factorization was
+    /// returned without any numeric work.
+    Full,
+    /// Pattern matched: symbolic analysis was reused, only the numeric
+    /// factorization ran.
+    Analysis,
+    /// Unseen pattern: full symbolic + numeric pipeline.
+    None,
+}
+
+impl Reuse {
+    /// Stable lowercase label for reports.
+    pub fn label(self) -> &'static str {
+        match self {
+            Reuse::Full => "full",
+            Reuse::Analysis => "analysis",
+            Reuse::None => "none",
         }
     }
 }
@@ -278,6 +304,21 @@ struct PendingSolve {
     submitted: Instant,
     deadline: Option<Instant>,
     drop_solution: bool,
+}
+
+impl PendingSolve {
+    fn into_job(self, factor: Factorization) -> SolveJob {
+        let mut job = SolveJob::with_timing(
+            self.id,
+            factor,
+            self.b,
+            self.nrhs,
+            self.submitted,
+            self.deadline,
+        );
+        job.drop_solution = self.drop_solution;
+        job
+    }
 }
 
 struct FlightState {
@@ -490,8 +531,15 @@ impl ConcurrentService {
         self.inner.ahead.snapshot()
     }
 
-    fn shard_pool(&self, pattern_fp: u64) -> &WorkerPool {
-        &self.solve_shards[self.inner.cache.shard_of(pattern_fp)]
+    /// Queue a solve whose factorization the caller already holds on
+    /// its pattern's shard pool (blocking back-pressure). Touches no
+    /// cache counter: the factorization was counted when it was
+    /// resolved.
+    pub fn submit_factored(&self, job: SolveJob) {
+        let shard = self.inner.cache.shard_of(job.factor.pattern_fingerprint());
+        self.solve_shards[shard]
+            .submit(job)
+            .expect("solve shard closed before factor pool");
     }
 
     fn spawn_flight(&self, a: Arc<CscMatrix>, flight: Arc<Flight>) {
@@ -545,17 +593,6 @@ impl ConcurrentService {
         let pfp = a.pattern_fingerprint();
         let vfp = a.value_fingerprint();
         let key = (pfp, vfp);
-        if let Some(f) = self.inner.cache.with_shard(pfp, |c| c.get_factor(pfp, vfp)) {
-            if self.inner.spec_done.lock().unwrap().contains(&key) {
-                self.inner.ahead.hits_ready.fetch_add(1, Relaxed);
-            }
-            let mut job = SolveJob::with_timing(id, f, b, nrhs, submitted, deadline);
-            job.drop_solution = drop_solution;
-            self.shard_pool(pfp)
-                .submit(job)
-                .expect("solve shard closed before factor pool");
-            return;
-        }
         let pending = PendingSolve {
             id,
             b,
@@ -564,6 +601,13 @@ impl ConcurrentService {
             deadline,
             drop_solution,
         };
+        if let Some(f) = self.inner.cache.with_shard(pfp, |c| c.get_factor(pfp, vfp)) {
+            if self.inner.spec_done.lock().unwrap().contains(&key) {
+                self.inner.ahead.hits_ready.fetch_add(1, Relaxed);
+            }
+            self.submit_factored(pending.into_job(f));
+            return;
+        }
         let existing = {
             let mut flights = self.inner.flights.lock().unwrap();
             match flights.get(&key) {
@@ -593,20 +637,7 @@ impl ConcurrentService {
                 let res = res.clone();
                 drop(st);
                 match res {
-                    Ok((f, _)) => {
-                        let mut job = SolveJob::with_timing(
-                            pending.id,
-                            f,
-                            pending.b,
-                            pending.nrhs,
-                            pending.submitted,
-                            pending.deadline,
-                        );
-                        job.drop_solution = pending.drop_solution;
-                        self.shard_pool(pfp)
-                            .submit(job)
-                            .expect("solve shard closed before factor pool");
-                    }
+                    Ok((f, _)) => self.submit_factored(pending.into_job(f)),
                     Err(e) => self.inner.failed.lock().unwrap().push(JobReport {
                         id: pending.id,
                         status: JobStatus::Failed(e),
@@ -703,6 +734,11 @@ fn worker_core_budget(cores: usize, workers: usize) -> usize {
 
 /// Factor task body: compute (or find) the factorization for the
 /// flight's key, publish the result, and dispatch parked solves.
+///
+/// The cache counters count the work done: a refactor against a cached
+/// analysis or a cold analysis is counted when it starts, so a
+/// numerically singular matrix still counts one refactor (or one miss)
+/// and inserts no factor.
 fn run_flight(
     inner: &ServiceInner,
     a: &CscMatrix,
@@ -764,11 +800,8 @@ fn run_flight(
         Ok((f, _)) => {
             let shard = (pfp % shards.len() as u64) as usize;
             for p in pending {
-                let mut job =
-                    SolveJob::with_timing(p.id, f.clone(), p.b, p.nrhs, p.submitted, p.deadline);
-                job.drop_solution = p.drop_solution;
                 shards[shard]
-                    .submit(job)
+                    .submit(p.into_job(f.clone()))
                     .expect("solve shard closed before factor pool");
             }
         }

@@ -1,4 +1,10 @@
-//! BENCH_solver.json regression gate.
+//! The `BENCH_solver.json` record: the blocks every serving record
+//! shares, and the regression gate that reads them back.
+//!
+//! `splu serve` ([`BatchReport`](crate::BatchReport)) and `splu
+//! loadgen` write one record shape: [`push_service_blocks`] emits the
+//! `latency_us`, `cache_hit_rate`, `cache` and `queue` blocks of both,
+//! and [`SolverRecord::parse`] reads the gated fields back.
 //!
 //! The bench-lu pipeline already refuses GFLOP/s drops beyond
 //! `SPLU_BENCH_TOL_PCT` percent; this module applies the same
@@ -19,7 +25,55 @@
 //! absolute slack ([`ABS_SLACK_US`]) so microsecond-scale workloads do
 //! not flap on scheduler noise.
 
+use crate::{CacheStats, QueueStats};
 use splu_probe::json::{self, Value};
+use splu_probe::metrics::Registry;
+
+/// Append the blocks every `solver_serve` record shares: `latency_us`
+/// (one line per `(key, histogram)` phase of `metrics`),
+/// `cache_hit_rate`, `cache` and `queue`. `between` (complete lines,
+/// possibly empty) is written between the `cache` and `queue` blocks.
+pub fn push_service_blocks(
+    out: &mut String,
+    metrics: &Registry,
+    phases: &[(&str, &str)],
+    cache: &CacheStats,
+    cache_resident_bytes: usize,
+    between: &str,
+    queue: &QueueStats,
+) {
+    out.push_str("  \"latency_us\": {\n");
+    for (i, (key, hist)) in phases.iter().enumerate() {
+        let s = metrics.histogram_summary(hist);
+        out.push_str(&format!(
+            "    \"{key}\": {{\"count\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}{}\n",
+            s.count,
+            s.p50,
+            s.p95,
+            s.p99,
+            if i + 1 < phases.len() { "," } else { "" },
+        ));
+    }
+    out.push_str("  },\n");
+    out.push_str(&format!("  \"cache_hit_rate\": {:.6},\n", cache.hit_rate()));
+    out.push_str(&format!(
+        "  \"cache\": {{\"analysis_hits\": {}, \"analysis_misses\": {}, \
+         \"factor_hits\": {}, \"refactors\": {}, \"evictions\": {}, \
+         \"resident_bytes\": {}}},\n",
+        cache.analysis_hits,
+        cache.analysis_misses,
+        cache.factor_hits,
+        cache.refactors,
+        cache.evictions,
+        cache_resident_bytes,
+    ));
+    out.push_str(between);
+    out.push_str(&format!(
+        "  \"queue\": {{\"accepted\": {}, \"rejected_full\": {}, \
+         \"expired\": {}, \"solved\": {}, \"failed\": {}}},\n",
+        queue.accepted, queue.rejected_full, queue.expired, queue.solved, queue.failed,
+    ));
+}
 
 /// The gate-relevant numbers of one `BENCH_solver.json` document.
 #[derive(Debug, Clone, Copy, PartialEq)]

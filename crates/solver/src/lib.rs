@@ -16,20 +16,19 @@
 //!   `splu-sparse`;
 //! * [`cache`] — an LRU factorization cache keyed by pattern fingerprint
 //!   with a configurable capacity in **bytes** (the factor-storage
-//!   accounting from `splu-core`), plus hit/miss/eviction counters
-//!   exportable through `splu-probe`;
-//! * [`service`] — [`service::SolverService`]: the cache behind a
-//!   thread-safe get-or-compute facade;
+//!   accounting from `splu-core`), plus hit/miss/eviction counters;
 //! * [`queue`] — a bounded work queue and worker pool dispatching solve
 //!   jobs over cached factorizations, with admission limits and per-job
 //!   deadline rejection;
-//! * [`concurrent`] — the production-scale serving layer:
-//!   factorizations on their own worker pool (independent matrices
-//!   factor concurrently), cache + solve queues sharded by pattern
-//!   fingerprint, speculative refactor-ahead on value arrival, and
-//!   single-flight dedup of concurrent same-key factorizations;
+//! * [`concurrent`] — the one serving front end,
+//!   [`ConcurrentService`]: factorizations on their own worker pool
+//!   (independent matrices factor concurrently), cache + solve queues
+//!   sharded by pattern fingerprint, speculative refactor-ahead on value
+//!   arrival, and single-flight dedup of concurrent same-key
+//!   factorizations;
 //! * [`requests`] — a small text workload format plus the batch driver
-//!   behind `splu serve --requests <file>`, reporting per-request
+//!   behind `splu serve --requests <file>`, which resolves each request
+//!   in order through [`ConcurrentService`] and reports per-request
 //!   outcomes and a `BENCH_solver.json`-compatible summary with
 //!   p50/p95/p99 latency percentiles from `splu-probe`'s always-on
 //!   metrics registry;
@@ -45,16 +44,15 @@ pub mod concurrent;
 pub mod gate;
 pub mod queue;
 pub mod requests;
-pub mod service;
 
 pub use cache::{CacheConfig, CacheStats, FactorCache};
 pub use concurrent::{
-    AheadStats, ConcurrentConfig, ConcurrentReport, ConcurrentService, ShardSnapshot, ShardedCache,
+    AheadStats, ConcurrentConfig, ConcurrentReport, ConcurrentService, Reuse, ShardSnapshot,
+    ShardedCache,
 };
 pub use gate::SolverRecord;
 pub use queue::{JobReport, JobStatus, QueueStats, SolveJob, WorkerPool};
-pub use requests::{run_batch, BatchConfig, BatchReport, RequestOutcome, Workload};
-pub use service::{Reuse, ServiceConfig, SolverService};
+pub use requests::{run_batch, BatchReport, RequestOutcome, Workload};
 pub use splu_core::{FactorOptions, SolverError};
 
 use splu_core::{FactorizedLu, SolveWorkspace, SparseLuSolver};

@@ -19,16 +19,19 @@
 //! solve g deadline_us=0     # deterministically past its deadline
 //! ```
 //!
-//! [`run_batch`] feeds the requests through a [`SolverService`] (so the
-//! factorization cache sees the pattern/value reuse) and a [`WorkerPool`]
-//! (so solves run concurrently under admission control), then reports
-//! one [`RequestOutcome`] per `solve` line. Right-hand sides are
-//! manufactured from a deterministic `x_true`, so every solved request
-//! carries a forward-error measurement.
+//! [`run_batch`] resolves the requests in order through a
+//! [`ConcurrentService`] (so the factorization cache sees the
+//! pattern/value reuse, and reuse labels and counters are deterministic)
+//! and queues each solve on the service's solve pool (so solves run
+//! concurrently under admission control), then reports one
+//! [`RequestOutcome`] per `solve` line. Right-hand sides are
+//! manufactured from a deterministic `x_true` ([`manufactured_rhs`]), so
+//! every solved request carries a forward-error measurement.
 
-use crate::queue::{JobStatus, SolveJob, WorkerPool};
-use crate::service::{Reuse, ServiceConfig, SolverService};
-use crate::{CacheConfig, CacheStats, FactorOptions, QueueStats};
+use crate::concurrent::{ConcurrentConfig, ConcurrentService, Reuse};
+use crate::gate::push_service_blocks;
+use crate::queue::{JobStatus, SolveJob};
+use crate::{CacheStats, QueueStats};
 use splu_probe::metrics::Registry;
 use splu_sparse::gen::{self, ValueModel};
 use splu_sparse::CscMatrix;
@@ -174,9 +177,9 @@ impl Workload {
     }
 
     /// Build every declared matrix, in declaration order.
-    fn build_matrices(&self) -> HashMap<String, CscMatrix> {
+    fn build_matrices(&self) -> HashMap<String, Arc<CscMatrix>> {
         let vm = ValueModel::default();
-        let mut built: HashMap<String, CscMatrix> = HashMap::new();
+        let mut built: HashMap<String, Arc<CscMatrix>> = HashMap::new();
         for (name, spec) in &self.matrices {
             let m = match spec {
                 MatrixSpec::Grid2d { nx, ny } => gen::grid2d(*nx, *ny, 0.4, vm),
@@ -189,7 +192,7 @@ impl Workload {
                     gen::zero_column_values(b, b.ncols() / 2)
                 }
             };
-            built.insert(name.clone(), m);
+            built.insert(name.clone(), Arc::new(m));
         }
         built
     }
@@ -207,30 +210,6 @@ fn parse_tok<T: std::str::FromStr>(
         .map_err(|_| format!("line {lineno}: bad {what} `{s}`"))
 }
 
-/// Knobs for [`run_batch`].
-#[derive(Debug, Clone, Copy)]
-pub struct BatchConfig {
-    /// Solve worker threads.
-    pub workers: usize,
-    /// Work-queue capacity (admission limit).
-    pub queue_cap: usize,
-    /// Factorization-cache byte budget.
-    pub cache_bytes: usize,
-    /// Pipeline options.
-    pub options: FactorOptions,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        Self {
-            workers: 2,
-            queue_cap: 8,
-            cache_bytes: CacheConfig::default().capacity_bytes,
-            options: FactorOptions::default(),
-        }
-    }
-}
-
 /// Per-request result.
 #[derive(Debug, Clone)]
 pub struct RequestOutcome {
@@ -240,8 +219,8 @@ pub struct RequestOutcome {
     pub matrix: String,
     /// Right-hand-side columns.
     pub nrhs: usize,
-    /// Cache reuse level of the factorization (`None` if factorization
-    /// itself failed before reaching the cache insert).
+    /// Cache reuse level of the factorization (`None` if the
+    /// factorization failed).
     pub reuse: Option<Reuse>,
     /// Terminal status label: `solved`, `deadline_expired`, `failed`, or
     /// `factorization_failed`.
@@ -271,9 +250,10 @@ pub struct BatchReport {
     pub queue: QueueStats,
     /// Resident cache bytes at the end of the batch.
     pub cache_resident_bytes: usize,
-    /// Batch metrics registry: `splu_request_us` (end-to-end per
-    /// request), `splu_factor_us`, `splu_solve_us`, `splu_solve_wait_us`
-    /// histograms plus queue/worker/cache counters — the source of the
+    /// The service's metrics registry: `splu_request_us` (end-to-end
+    /// per request), `splu_factor_us` (per factor task),
+    /// `splu_solve_us`, `splu_solve_wait_us` histograms plus
+    /// queue/worker/cache counters — the source of the
     /// p50/p95/p99 fields in [`BatchReport::to_json`] and of
     /// `splu serve --metrics-out`.
     pub metrics: Arc<Registry>,
@@ -310,48 +290,19 @@ impl BatchReport {
         out.push_str(&format!("  \"max_err\": {:e},\n", self.max_err()));
         let total_solve_us: u64 = self.outcomes.iter().map(|o| o.solve_us).sum();
         out.push_str(&format!("  \"total_solve_us\": {total_solve_us},\n"));
-        out.push_str("  \"latency_us\": {\n");
-        let phases = [
-            ("e2e", "splu_request_us"),
-            ("solve", "splu_solve_us"),
-            ("wait", "splu_solve_wait_us"),
-        ];
-        for (i, (key, hist)) in phases.iter().enumerate() {
-            let s = self.metrics.histogram_summary(hist);
-            out.push_str(&format!(
-                "    \"{key}\": {{\"count\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}{}\n",
-                s.count,
-                s.p50,
-                s.p95,
-                s.p99,
-                if i + 1 < phases.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  },\n");
-        out.push_str(&format!(
-            "  \"cache_hit_rate\": {:.6},\n",
-            self.cache.hit_rate()
-        ));
-        out.push_str(&format!(
-            "  \"cache\": {{\"analysis_hits\": {}, \"analysis_misses\": {}, \
-             \"factor_hits\": {}, \"refactors\": {}, \"evictions\": {}, \
-             \"resident_bytes\": {}}},\n",
-            self.cache.analysis_hits,
-            self.cache.analysis_misses,
-            self.cache.factor_hits,
-            self.cache.refactors,
-            self.cache.evictions,
+        push_service_blocks(
+            &mut out,
+            &self.metrics,
+            &[
+                ("e2e", "splu_request_us"),
+                ("solve", "splu_solve_us"),
+                ("wait", "splu_solve_wait_us"),
+            ],
+            &self.cache,
             self.cache_resident_bytes,
-        ));
-        out.push_str(&format!(
-            "  \"queue\": {{\"accepted\": {}, \"rejected_full\": {}, \
-             \"expired\": {}, \"solved\": {}, \"failed\": {}}},\n",
-            self.queue.accepted,
-            self.queue.rejected_full,
-            self.queue.expired,
-            self.queue.solved,
-            self.queue.failed,
-        ));
+            "",
+            &self.queue,
+        );
         out.push_str("  \"outcomes\": [\n");
         for (i, o) in self.outcomes.iter().enumerate() {
             let reuse = o
@@ -383,87 +334,77 @@ impl BatchReport {
     }
 }
 
-/// Deterministic synthetic solution for request `id`, column `c`.
-fn x_true(n: usize, nrhs: usize, id: usize) -> Vec<f64> {
+/// Manufactured system for request `id`: a deterministic `x_true` of
+/// `nrhs` columns and `b = A·x_true`, both column-major. Returns
+/// `(x_true, b)`.
+pub fn manufactured_rhs(a: &CscMatrix, nrhs: usize, id: usize) -> (Vec<f64>, Vec<f64>) {
+    let n = a.ncols();
     let mut x = vec![0.0; n * nrhs];
+    let mut b = vec![0.0; n * nrhs];
     for c in 0..nrhs {
         for i in 0..n {
             x[c * n + i] = ((i * 7 + c * 13 + id * 31) % 17) as f64 * 0.25 - 2.0;
         }
+        a.matvec_into(&x[c * n..(c + 1) * n], &mut b[c * n..(c + 1) * n]);
     }
-    x
+    (x, b)
 }
 
-/// Run a parsed workload through the solver service and worker pool.
-///
-/// Factorizations run on the driver thread (populating the cache in
-/// request order, so reuse counters are deterministic); solves run on
-/// the pool. Submission uses the blocking [`WorkerPool::submit`], so
-/// queue capacity provides back-pressure rather than data loss.
-pub fn run_batch(workload: &Workload, config: &BatchConfig) -> BatchReport {
-    let matrices = workload.build_matrices();
-    let service = SolverService::new(ServiceConfig {
-        cache: CacheConfig {
-            capacity_bytes: config.cache_bytes,
-        },
-        options: config.options,
-    });
-    let pool = WorkerPool::new(config.workers, config.queue_cap);
-    let metrics = pool.metrics();
-    let factor_hist = metrics.histogram("splu_factor_us");
+/// Forward error `max_i |x_i - x_true_i|`.
+pub fn forward_error(x: &[f64], x_true: &[f64]) -> f64 {
+    x.iter()
+        .zip(x_true)
+        .fold(0.0f64, |m, (p, q)| m.max((p - q).abs()))
+}
 
-    struct Pending {
-        x_true: Vec<f64>,
-    }
+/// Run a parsed workload through a [`ConcurrentService`] built from
+/// `config`.
+///
+/// Each request's factorization is resolved on the driver thread with
+/// [`ConcurrentService::factorization_blocking`], in request order, so
+/// the cache fills deterministically and the reuse labels and counters
+/// repeat exactly; the resolved factorization then goes straight to the
+/// pattern's solve pool ([`ConcurrentService::submit_factored`]), whose
+/// blocking submit makes queue capacity back-pressure rather than data
+/// loss.
+pub fn run_batch(workload: &Workload, config: ConcurrentConfig) -> BatchReport {
+    let matrices = workload.build_matrices();
+    let service = ConcurrentService::new(config);
+    let metrics = service.metrics();
     let mut outcomes: Vec<RequestOutcome> = Vec::with_capacity(workload.requests.len());
-    let mut pending: HashMap<usize, Pending> = HashMap::new();
+    let mut x_true: HashMap<usize, Vec<f64>> = HashMap::new();
 
     for (id, req) in workload.requests.iter().enumerate() {
         let a = &matrices[&req.matrix];
-        let n = a.ncols();
-        let mut outcome = RequestOutcome {
+        let t_factor = Instant::now();
+        let factorized = service.factorization_blocking(a);
+        let factor_us = t_factor.elapsed().as_micros() as u64;
+        let (reuse, status, error) = match factorized {
+            Err(e) => (None, "factorization_failed", Some(e.to_string())),
+            Ok((factor, reuse)) => {
+                let (xt, b) = manufactured_rhs(a, req.nrhs, id);
+                service.submit_factored(SolveJob::new(id, factor, b, req.nrhs, req.deadline_us));
+                x_true.insert(id, xt);
+                (Some(reuse), "pending", None)
+            }
+        };
+        outcomes.push(RequestOutcome {
             id,
             matrix: req.matrix.clone(),
             nrhs: req.nrhs,
-            reuse: None,
-            status: String::new(),
-            error: None,
+            reuse,
+            status: status.into(),
+            error,
             max_err: None,
             wait_us: 0,
             solve_us: 0,
-            factor_us: 0,
-        };
-        let t_factor = Instant::now();
-        let factorized = service.factorization(a);
-        outcome.factor_us = t_factor.elapsed().as_micros() as u64;
-        factor_hist.record(outcome.factor_us);
-        match factorized {
-            Err(e) => {
-                outcome.status = "factorization_failed".into();
-                outcome.error = Some(e.to_string());
-            }
-            Ok((factor, reuse)) => {
-                outcome.reuse = Some(reuse);
-                let xt = x_true(n, req.nrhs, id);
-                let mut b = vec![0.0; n * req.nrhs];
-                for c in 0..req.nrhs {
-                    a.matvec_into(&xt[c * n..(c + 1) * n], &mut b[c * n..(c + 1) * n]);
-                }
-                let job = SolveJob::new(id, factor, b, req.nrhs, req.deadline_us);
-                if pool.submit(job).is_err() {
-                    unreachable!("pool closed during submission");
-                }
-                pending.insert(id, Pending { x_true: xt });
-                outcome.status = "pending".into();
-            }
-        }
-        outcomes.push(outcome);
+            factor_us,
+        });
     }
 
-    let (reports, queue_stats) = pool.finish();
+    let report = service.finish();
     let request_hist = metrics.histogram("splu_request_us");
-    for r in reports {
-        let p = &pending[&r.id];
+    for r in report.reports {
         let o = &mut outcomes[r.id];
         o.wait_us = r.wait_us;
         o.solve_us = r.solve_us;
@@ -474,39 +415,29 @@ pub fn run_batch(workload: &Workload, config: &BatchConfig) -> BatchReport {
         match r.status {
             JobStatus::Solved => {
                 let x = r.x.as_ref().expect("solved job carries a solution");
-                let err = x
-                    .iter()
-                    .zip(&p.x_true)
-                    .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
-                o.max_err = Some(err);
+                o.max_err = Some(forward_error(x, &x_true[&r.id]));
             }
             JobStatus::Failed(e) => o.error = Some(e.to_string()),
             JobStatus::DeadlineExpired => {}
         }
     }
 
-    let cache = service.cache_stats();
-    metrics
-        .counter("splu_cache_analysis_hits_total")
-        .add(cache.analysis_hits);
-    metrics
-        .counter("splu_cache_analysis_misses_total")
-        .add(cache.analysis_misses);
-    metrics
-        .counter("splu_cache_factor_hits_total")
-        .add(cache.factor_hits);
-    metrics
-        .counter("splu_cache_refactors_total")
-        .add(cache.refactors);
-    metrics
-        .counter("splu_cache_evictions_total")
-        .add(cache.evictions);
+    let cache = report.cache;
+    for (name, value) in [
+        ("splu_cache_analysis_hits_total", cache.analysis_hits),
+        ("splu_cache_analysis_misses_total", cache.analysis_misses),
+        ("splu_cache_factor_hits_total", cache.factor_hits),
+        ("splu_cache_refactors_total", cache.refactors),
+        ("splu_cache_evictions_total", cache.evictions),
+    ] {
+        metrics.counter(name).add(value);
+    }
 
     BatchReport {
         outcomes,
         cache,
-        queue: queue_stats,
-        cache_resident_bytes: service.cache_resident_bytes(),
+        queue: report.queue,
+        cache_resident_bytes: report.cache_resident_bytes,
         metrics,
     }
 }
@@ -553,7 +484,7 @@ solve g2
     #[test]
     fn mixed_batch_end_to_end() {
         let w = Workload::parse(WORKLOAD).unwrap();
-        let report = run_batch(&w, &BatchConfig::default());
+        let report = run_batch(&w, ConcurrentConfig::default());
         assert_eq!(report.outcomes.len(), 8);
 
         // The singular matrix fails factorization with a typed error.
@@ -581,10 +512,9 @@ solve g2
         let c = report.cache;
         assert_eq!(c.analysis_misses, 2, "two distinct patterns");
         assert_eq!(c.factor_hits, 4, "repeat requests hit the factor cache");
-        assert_eq!(
-            c.refactors, 1,
-            "perturbed values refactor under cached analysis"
-        );
+        // g2's refactor, plus the singular twin's failed refactor: the
+        // counters count the work done.
+        assert_eq!(c.refactors, 2, "refactors under the cached analysis");
 
         // JSON renders and contains the headline counters.
         let json = report.to_json();

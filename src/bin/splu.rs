@@ -387,7 +387,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cli, String> {
 
 /// `splu serve`: run a workload file through the solver service.
 fn cmd_serve(cli: &Cli) -> ExitCode {
-    use sstar::solver::{run_batch, BatchConfig, CacheConfig, Workload};
+    use sstar::solver::{run_batch, CacheConfig, ConcurrentConfig, Workload};
     let text = match std::fs::read_to_string(&cli.matrix) {
         Ok(t) => t,
         Err(e) => {
@@ -402,9 +402,16 @@ fn cmd_serve(cli: &Cli) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let config = BatchConfig {
-        workers: cli.workers.unwrap_or(2),
-        queue_cap: cli.queue_cap.unwrap_or(8),
+    // Requests resolve one at a time, so one factor worker (holding the
+    // whole core budget) and one cache shard (one LRU over the whole
+    // budget, one pool of `--workers` solvers) serve them.
+    let queue_cap = cli.queue_cap.unwrap_or(8);
+    let config = ConcurrentConfig {
+        factor_workers: 1,
+        solve_workers: cli.workers.unwrap_or(2),
+        shards: 1,
+        factor_queue_cap: queue_cap,
+        solve_queue_cap: queue_cap,
         cache_bytes: cli
             .cache_bytes
             .unwrap_or(CacheConfig::default().capacity_bytes),
@@ -414,10 +421,10 @@ fn cmd_serve(cli: &Cli) -> ExitCode {
         "serve: {} request(s) from {}, {} worker(s), queue capacity {}",
         workload.requests.len(),
         cli.matrix,
-        config.workers,
-        config.queue_cap
+        config.solve_workers,
+        queue_cap
     );
-    let report = run_batch(&workload, &config);
+    let report = run_batch(&workload, config);
     for o in &report.outcomes {
         let detail = match (&o.max_err, &o.error) {
             (Some(e), _) => format!(
@@ -452,20 +459,34 @@ fn cmd_serve(cli: &Cli) -> ExitCode {
         "queue: {} accepted, {} rejected (full), {} expired, {} solved, {} failed",
         q.accepted, q.rejected_full, q.expired, q.solved, q.failed
     );
+    let json = report.to_json();
     if let Some(path) = &cli.stats_json {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
+        if let Err(e) = std::fs::write(path, &json) {
             eprintln!("splu: cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
         println!("wrote {path}");
     }
+    write_metrics_and_gate(cli, &json, &report.metrics)
+}
+
+/// `--metrics-out` and `--baseline` of `serve` and `loadgen`: write the
+/// run's metrics registry (`.json` gets the JSON snapshot; anything else
+/// the Prometheus text exposition), then gate the fresh
+/// `BENCH_solver.json` record `json` against the baseline record. A
+/// missing or unparseable baseline records nothing to gate against
+/// (mirrors the bench-lu gate's behaviour on first runs).
+fn write_metrics_and_gate(
+    cli: &Cli,
+    json: &str,
+    metrics: &sstar::probe::metrics::Registry,
+) -> ExitCode {
+    use sstar::solver::gate::{gate_against, tolerance_pct, SolverRecord};
     if let Some(path) = &cli.metrics_out {
-        // `.json` gets the JSON snapshot; anything else the Prometheus
-        // text exposition.
         let body = if path.ends_with(".json") {
-            report.metrics.json_snapshot()
+            metrics.json_snapshot()
         } else {
-            report.metrics.prometheus_text()
+            metrics.prometheus_text()
         };
         if let Err(e) = std::fs::write(path, body) {
             eprintln!("splu: cannot write {path}: {e}");
@@ -473,36 +494,37 @@ fn cmd_serve(cli: &Cli) -> ExitCode {
         }
         println!("wrote {path}");
     }
-    if let Some(base) = &cli.baseline {
-        use sstar::solver::gate::{gate_against, tolerance_pct, SolverRecord};
-        let current = match SolverRecord::parse(&report.to_json()) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("splu: fresh solver record unparseable: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        // A missing or pre-percentile baseline records nothing to gate
-        // against (mirrors the bench-lu gate's behaviour on first runs).
-        let baseline = std::fs::read_to_string(base)
-            .ok()
-            .and_then(|t| SolverRecord::parse(&t).ok());
-        match baseline {
-            None => println!("gate: no usable baseline at {base}; skipping"),
-            Some(b) => {
-                let tol = tolerance_pct();
-                if let Err(e) = gate_against(&current, &b, tol) {
-                    eprintln!("splu: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!(
-                    "gate: ok vs {base} (p95 e2e {} us vs {} us, hit rate {:.3} vs {:.3}, \
-                     tolerance {tol}%)",
-                    current.p95_e2e_us, b.p95_e2e_us, current.cache_hit_rate, b.cache_hit_rate
-                );
-            }
+    let Some(base) = &cli.baseline else {
+        return ExitCode::SUCCESS;
+    };
+    let current = match SolverRecord::parse(json) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("splu: fresh solver record unparseable: {e}");
+            return ExitCode::FAILURE;
         }
+    };
+    let baseline = std::fs::read_to_string(base)
+        .ok()
+        .and_then(|t| SolverRecord::parse(&t).ok());
+    let Some(b) = baseline else {
+        println!("gate: no usable baseline at {base}; skipping");
+        return ExitCode::SUCCESS;
+    };
+    let tol = tolerance_pct();
+    if let Err(e) = gate_against(&current, &b, tol) {
+        eprintln!("splu: {e}");
+        return ExitCode::FAILURE;
     }
+    let goodput = match (current.req_per_sec, b.req_per_sec) {
+        (Some(c), Some(r)) => format!(", goodput {c:.1} vs {r:.1} req/s"),
+        _ => String::new(),
+    };
+    println!(
+        "gate: ok vs {base} (p95 e2e {} us vs {} us, hit rate {:.3} vs {:.3}{goodput}, \
+         tolerance {tol}%)",
+        current.p95_e2e_us, b.p95_e2e_us, current.cache_hit_rate, b.cache_hit_rate
+    );
     ExitCode::SUCCESS
 }
 
@@ -628,50 +650,7 @@ fn cmd_loadgen(cli: &Cli) -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!("wrote {path}");
-    if let Some(path) = &cli.metrics_out {
-        let body = if path.ends_with(".json") {
-            report.metrics.json_snapshot()
-        } else {
-            report.metrics.prometheus_text()
-        };
-        if let Err(e) = std::fs::write(path, body) {
-            eprintln!("splu: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-    }
-    if let Some(base) = &cli.baseline {
-        use sstar::solver::gate::{gate_against, tolerance_pct, SolverRecord};
-        let current = match SolverRecord::parse(&json) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("splu: fresh loadgen record unparseable: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let baseline = std::fs::read_to_string(base)
-            .ok()
-            .and_then(|t| SolverRecord::parse(&t).ok());
-        match baseline {
-            None => println!("gate: no usable baseline at {base}; skipping"),
-            Some(b) => {
-                let tol = tolerance_pct();
-                if let Err(e) = gate_against(&current, &b, tol) {
-                    eprintln!("splu: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!(
-                    "gate: ok vs {base} (p95 e2e {} us vs {} us, goodput {:.1} vs {:.1} req/s, \
-                     tolerance {tol}%)",
-                    current.p95_e2e_us,
-                    b.p95_e2e_us,
-                    current.req_per_sec.unwrap_or(0.0),
-                    b.req_per_sec.unwrap_or(0.0)
-                );
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    write_metrics_and_gate(cli, &json, &report.metrics)
 }
 
 /// Build the suite matrix named `path` (sherman5, …), or read the file

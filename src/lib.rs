@@ -72,6 +72,6 @@ pub mod prelude {
     pub use splu_core::{FactorOptions, FactorizedLu, SolverError, SparseLuSolver};
     pub use splu_machine::{Grid, MachineModel, T3D, T3E};
     pub use splu_order::ColumnOrdering;
-    pub use splu_solver::{Analysis, Factorization, SolverService};
+    pub use splu_solver::{Analysis, ConcurrentService, Factorization};
     pub use splu_sparse::{CooMatrix, CscMatrix, Perm};
 }

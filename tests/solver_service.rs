@@ -1,13 +1,26 @@
 //! End-to-end tests of the `splu-solver` service layer: the staged
-//! analyze → factorize → solve lifecycle, factorization-cache semantics,
-//! the bounded work queue, the batch driver, and the probe export of the
-//! cache counters.
+//! analyze → factorize → solve lifecycle, factorization-cache semantics
+//! and counting policy of [`ConcurrentService`], the bounded work queue,
+//! the batch driver, and the registry export of the cache counters.
 
 use sstar::prelude::*;
 use sstar::solver::{
-    run_batch, BatchConfig, CacheConfig, Reuse, ServiceConfig, SolveJob, WorkerPool, Workload,
+    run_batch, CacheConfig, ConcurrentConfig, Reuse, SolveJob, WorkerPool, Workload,
 };
 use sstar::sparse::gen::{self, ValueModel};
+use std::sync::Arc;
+
+/// One factor worker, one cache shard holding `cache_bytes`: the
+/// configuration `splu serve` runs.
+fn one_shard(cache_bytes: usize) -> ConcurrentService {
+    ConcurrentService::new(ConcurrentConfig {
+        factor_workers: 1,
+        solve_workers: 1,
+        shards: 1,
+        cache_bytes,
+        ..ConcurrentConfig::default()
+    })
+}
 
 fn max_err(a: &[f64], b: &[f64]) -> f64 {
     a.iter()
@@ -35,49 +48,74 @@ fn same_pattern_refactorization_skips_symbolic_analysis() {
     // The acceptance demonstration: a sequence of same-pattern matrices
     // runs symbolic analysis exactly once, and the cache-hit counters
     // prove it.
-    let svc = SolverService::new(ServiceConfig::default());
-    let a = gen::grid2d(12, 12, 0.4, ValueModel::default());
-    let (_, r0) = svc.factorization(&a).unwrap();
+    let svc = one_shard(CacheConfig::default().capacity_bytes);
+    let a = Arc::new(gen::grid2d(12, 12, 0.4, ValueModel::default()));
+    let (_, r0) = svc.factorization_blocking(&a).unwrap();
     assert_eq!(r0, Reuse::None);
+    let (_, r1) = svc.factorization_blocking(&a).unwrap();
+    assert_eq!(r1, Reuse::Full, "identical matrix: no numeric work");
     for seed in 1..=4u64 {
-        let ak = gen::perturb_values(&a, seed);
-        let (fk, rk) = svc.factorization(&ak).unwrap();
+        let ak = Arc::new(gen::perturb_values(&a, seed));
+        let (fk, rk) = svc.factorization_blocking(&ak).unwrap();
+        assert_eq!(fk.value_fingerprint(), ak.value_fingerprint());
         assert_eq!(rk, Reuse::Analysis, "seed {seed} should reuse the analysis");
         let n = ak.ncols();
         let xt: Vec<f64> = (0..n).map(|i| ((i % 5) as f64) - 2.0).collect();
         let x = fk.solve(&ak.matvec(&xt)).unwrap();
         assert!(max_err(&x, &xt) < 1e-7, "seed {seed}");
     }
-    let s = svc.cache_stats();
+    let s = svc.finish().cache;
     assert_eq!(s.analysis_misses, 1, "symbolic analysis ran exactly once");
     assert_eq!(
         s.refactors, 4,
         "each new-value matrix refactored numerically"
     );
     assert_eq!(s.analysis_hits, 4);
+    assert_eq!(s.factor_hits, 1);
 }
 
 #[test]
-fn cache_counters_are_visible_through_the_probe() {
-    let svc = SolverService::new(ServiceConfig::default());
-    let a = gen::grid2d(8, 8, 0.4, ValueModel::default());
-    svc.factorization(&a).unwrap();
-    svc.factorization(&a).unwrap(); // full hit
+fn cache_counters_count_the_work_done() {
+    let a = Arc::new(gen::grid2d(6, 6, 0.4, ValueModel::default()));
+    let sing = Arc::new(gen::zero_column_values(&a, 3));
+    assert_eq!(sing.pattern_fingerprint(), a.pattern_fingerprint());
 
-    let collector = sstar::probe::Collector::new();
-    {
-        let probe = collector.probe(0);
-        svc.export_stats(&probe);
-        // probe drops here, flushing its counters into the collector
-    }
-    let trace = collector.finish();
-    if sstar::probe::ENABLED {
-        let counters = &trace.procs[0].counters;
-        assert_eq!(counters.get("solver_cache_analysis_miss"), Some(&1));
-        assert_eq!(counters.get("solver_cache_factor_hit"), Some(&1));
-    } else {
-        assert!(trace.procs.is_empty());
-    }
+    // A singular refactor against a cached analysis counts one refactor
+    // and inserts no factor: the original still full-hits afterwards.
+    let svc = one_shard(CacheConfig::default().capacity_bytes);
+    svc.factorization_blocking(&a).unwrap();
+    assert!(matches!(
+        svc.factorization_blocking(&sing),
+        Err(SolverError::ZeroPivot { .. })
+    ));
+    let (_, r) = svc.factorization_blocking(&a).unwrap();
+    assert_eq!(r, Reuse::Full, "the failure did not displace the factor");
+    let s = svc.finish().cache;
+    assert_eq!(
+        (
+            s.analysis_misses,
+            s.analysis_hits,
+            s.refactors,
+            s.factor_hits
+        ),
+        (1, 1, 1, 1)
+    );
+
+    // A cold singular pattern counts one miss.
+    let svc = one_shard(CacheConfig::default().capacity_bytes);
+    assert!(svc.factorization_blocking(&sing).is_err());
+    let s = svc.finish().cache;
+    assert_eq!((s.analysis_misses, s.refactors, s.factor_hits), (1, 0, 0));
+}
+
+#[test]
+fn cache_counters_are_visible_through_the_registry() {
+    let w = Workload::parse("matrix a grid2d 8 8\nsolve a\nsolve a\n").unwrap();
+    let report = run_batch(&w, ConcurrentConfig::default());
+    let m = &report.metrics;
+    assert_eq!(m.counter_value("splu_cache_analysis_misses_total"), 1);
+    assert_eq!(m.counter_value("splu_cache_factor_hits_total"), 1);
+    assert_eq!(m.counter_value("splu_cache_refactors_total"), 0);
 }
 
 #[test]
@@ -130,11 +168,10 @@ solve r
     let w = Workload::parse(text).unwrap();
     let report = run_batch(
         &w,
-        &BatchConfig {
-            workers: 3,
-            queue_cap: 4,
-            cache_bytes: CacheConfig::default().capacity_bytes,
-            options: FactorOptions::default(),
+        ConcurrentConfig {
+            solve_workers: 3,
+            solve_queue_cap: 4,
+            ..ConcurrentConfig::default()
         },
     );
     assert_eq!(report.outcomes.len(), 9);
@@ -163,28 +200,25 @@ solve r
 fn cache_eviction_under_tight_budget_still_solves() {
     // A budget that fits roughly one pattern forces evictions between
     // alternating patterns; results must stay correct throughout.
-    let a = gen::grid2d(9, 9, 0.4, ValueModel::default());
-    let b = gen::grid2d(9, 8, 0.4, ValueModel::default());
+    let a = Arc::new(gen::grid2d(9, 9, 0.4, ValueModel::default()));
+    let b = Arc::new(gen::grid2d(9, 8, 0.4, ValueModel::default()));
     let probe_an = Analysis::of(&a, FactorOptions::default());
     let one_entry = probe_an.approx_bytes() + probe_an.factorize(&a).unwrap().storage_bytes();
-    let svc = SolverService::new(ServiceConfig {
-        cache: CacheConfig {
-            capacity_bytes: one_entry + one_entry / 4,
-        },
-        options: FactorOptions::default(),
-    });
+    let svc = one_shard(one_entry + one_entry / 4);
     for round in 0..3 {
         for m in [&a, &b] {
             let n = m.ncols();
             let xt: Vec<f64> = (0..n).map(|i| ((i % 4) as f64) * 0.5).collect();
-            let x = svc.solve(m, &m.matvec(&xt)).unwrap();
+            let (f, _) = svc.factorization_blocking(m).unwrap();
+            let x = f.solve(&m.matvec(&xt)).unwrap();
             assert!(max_err(&x, &xt) < 1e-7, "round {round}");
         }
     }
-    let s = svc.cache_stats();
+    let report = svc.finish();
+    let s = report.cache;
     assert!(s.evictions >= 4, "alternating patterns evict: {s:?}");
     assert!(
-        svc.cache_resident_bytes() <= one_entry + one_entry / 4,
+        report.cache_resident_bytes <= one_entry + one_entry / 4,
         "budget respected at rest"
     );
 }
