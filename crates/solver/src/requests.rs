@@ -360,7 +360,7 @@ pub fn forward_error(x: &[f64], x_true: &[f64]) -> f64 {
 /// Run a parsed workload through a [`ConcurrentService`] built from
 /// `config`.
 ///
-/// Each request's factorization is resolved on the driver thread with
+/// Each request's factorization is resolved on the calling thread with
 /// [`ConcurrentService::factorization_blocking`], in request order, so
 /// the cache fills deterministically and the reuse labels and counters
 /// repeat exactly; the resolved factorization then goes straight to the

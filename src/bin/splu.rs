@@ -405,24 +405,23 @@ fn cmd_serve(cli: &Cli) -> ExitCode {
     // Requests resolve one at a time, so one factor worker (holding the
     // whole core budget) and one cache shard (one LRU over the whole
     // budget, one pool of `--workers` solvers) serve them.
-    let queue_cap = cli.queue_cap.unwrap_or(8);
     let config = ConcurrentConfig {
         factor_workers: 1,
         solve_workers: cli.workers.unwrap_or(2),
         shards: 1,
-        factor_queue_cap: queue_cap,
-        solve_queue_cap: queue_cap,
+        solve_queue_cap: cli.queue_cap.unwrap_or(8),
         cache_bytes: cli
             .cache_bytes
             .unwrap_or(CacheConfig::default().capacity_bytes),
         options: cli.options,
+        ..ConcurrentConfig::default()
     };
     println!(
         "serve: {} request(s) from {}, {} worker(s), queue capacity {}",
         workload.requests.len(),
         cli.matrix,
         config.solve_workers,
-        queue_cap
+        config.solve_queue_cap
     );
     let report = run_batch(&workload, config);
     for o in &report.outcomes {

@@ -1,7 +1,7 @@
 //! End-to-end tests of the `splu-solver` service layer: the staged
 //! analyze → factorize → solve lifecycle, factorization-cache semantics
 //! and counting policy of [`ConcurrentService`], the bounded work queue,
-//! the batch driver, and the registry export of the cache counters.
+//! `run_batch`, and the registry export of the cache counters.
 
 use sstar::prelude::*;
 use sstar::solver::{
