@@ -15,6 +15,9 @@
 //! * [`solve`] — the two triangular solvers `L y = P b`, `U x = y`,
 //! * [`pipeline`] — one-call driver: preprocess → symbolic → partition →
 //!   amalgamate → factor → solve,
+//! * [`lookahead`] — the 2D executor's deterministic operation list per
+//!   grid column, read from the block pattern's `U` structure (the
+//!   paper's Fig. 10/11 priority policy),
 //! * [`par2d`] — the one parallel executor: the 2D block-cyclic
 //!   asynchronous code (§5.2, Figs. 12–15) with its synchronous-barrier
 //!   ablation variant, overlap-degree instrumentation (Theorem 2) and
@@ -25,6 +28,7 @@
 //! Entry point for most users: [`pipeline::SparseLuSolver`].
 
 pub mod error;
+pub mod lookahead;
 pub mod par2d;
 pub mod pipeline;
 pub mod refine;

@@ -1,12 +1,11 @@
-//! Critical-path lookahead schedule for the *real* 2D driver.
+//! Critical-path lookahead schedule for the 2D driver ([`crate::par2d`]).
 //!
-//! The 1D schedules consume the task graph's readiness information through
-//! [`crate::graph_sched`]'s list scheduler; this module applies the same
-//! readiness discipline (per-destination indegree counters over the
-//! [`TaskGraph`]'s `Update(k, j)` dependences) to produce the
-//! deterministic operation list that `splu-core::par2d`'s executor
-//! replays — the paper's Fig. 10/11 lookahead implemented on the thread
-//! machine rather than only in the simulator.
+//! The operation list is a function of the static block structure alone:
+//! `Update(k, j)` exists exactly where `U_kj ≠ 0`, so column `j`'s update
+//! sources and stage `k`'s destinations are read straight from
+//! [`BlockPattern::u_blocks`]. Every rank of a grid column replays the
+//! same deterministic list — the paper's Fig. 10/11 lookahead on the
+//! thread machine.
 //!
 //! The priority policy is two frontiers over elimination stages:
 //!
@@ -32,7 +31,7 @@
 //! is also what keeps the factors bitwise identical for every `W`: each
 //! block still accumulates its contributions in sequential stage order.
 
-use crate::taskgraph::{TaskGraph, TaskKind};
+use splu_symbolic::BlockPattern;
 
 /// One executor operation for the ranks of a single processor-grid
 /// column (the per-column schedules interleave only through multicasts).
@@ -69,27 +68,25 @@ pub enum Op2d {
 
 /// Build the lookahead operation list for grid column `cno` of a
 /// `p_c`-column grid with window `window`. Deterministic in
-/// `(graph, pc, cno, window)` only — never in message timing.
-pub fn lookahead_schedule(graph: &TaskGraph, pc: usize, cno: usize, window: usize) -> Vec<Op2d> {
+/// `(pattern, pc, cno, window)` only — never in message timing.
+pub fn lookahead_schedule(
+    pattern: &BlockPattern,
+    pc: usize,
+    cno: usize,
+    window: usize,
+) -> Vec<Op2d> {
     assert!(pc >= 1 && cno < pc);
-    let nb = graph.nblocks;
-    // Readiness state, as in `graph_sched`'s indegree counters, but
-    // specialized to the serialized per-column update chains: column
-    // `j`'s sources in ascending stage order, plus a cursor (`next`)
-    // that *is* the next-expected-stage counter.
+    let nb = pattern.nblocks();
+    // Readiness state specialized to the serialized per-column update
+    // chains: column `j`'s sources in ascending stage order, plus a
+    // cursor (`next`) that *is* the next-expected-stage counter. Visiting
+    // row blocks in order makes each source list ascend; stage `s`'s
+    // destinations are `u_blocks[s]`, which ascend in `j`.
     let mut srcs: Vec<Vec<u32>> = vec![Vec::new(); nb];
-    let mut dests: Vec<Vec<u32>> = vec![Vec::new(); nb];
-    for t in &graph.tasks {
-        if let TaskKind::Update(k, j) = *t {
-            srcs[j as usize].push(k);
-            dests[k as usize].push(j);
+    for (k, row) in pattern.u_blocks.iter().enumerate() {
+        for u in row {
+            srcs[u.j as usize].push(k as u32);
         }
-    }
-    for s in &mut srcs {
-        s.sort_unstable();
-    }
-    for d in &mut dests {
-        d.sort_unstable();
     }
     let owned = |j: usize| j % pc == cno;
 
@@ -144,9 +141,9 @@ pub fn lookahead_schedule(graph: &TaskGraph, pc: usize, cno: usize, window: usiz
     // destination column* matters, and each column appears at most
     // once per batch.
     let issue = |ops: &mut Vec<Op2d>, next: &[usize], swapped: &mut [bool], s: usize| {
-        let pending: Vec<usize> = dests[s]
+        let pending: Vec<usize> = pattern.u_blocks[s]
             .iter()
-            .map(|&j| j as usize)
+            .map(|u| u.j as usize)
             .filter(|&j| owned(j) && next[j] < srcs[j].len() && srcs[j][next[j]] == s as u32)
             .collect();
         for &j in &pending {
@@ -234,18 +231,14 @@ pub fn lookahead_schedule(graph: &TaskGraph, pc: usize, cno: usize, window: usiz
 mod tests {
     use super::*;
     use splu_sparse::gen::{self, ValueModel};
-    use splu_symbolic::{
-        amalgamate, partition_supernodes, static_symbolic_factorization, BlockPattern,
-    };
-    use std::sync::Arc;
+    use splu_symbolic::{amalgamate, partition_supernodes, static_symbolic_factorization};
 
-    fn graph_for(pc: usize) -> (TaskGraph, usize) {
+    fn pattern_for(pc: usize) -> (BlockPattern, usize) {
         let a = gen::grid2d(8, 8, 0.4, ValueModel::default());
         let s = static_symbolic_factorization(&a);
         let base = partition_supernodes(&s, 6);
         let part = amalgamate(&s, &base, 4, 6);
-        let pattern = Arc::new(BlockPattern::build(&s, &part));
-        (TaskGraph::build(&pattern), pc)
+        (BlockPattern::build(&s, &part), pc)
     }
 
     /// Replay `ops`, checking the executor's invariants: per-column
@@ -327,21 +320,21 @@ mod tests {
 
     #[test]
     fn invariants_hold_for_all_windows_and_columns() {
-        let (g, pc) = graph_for(2);
+        let (p, pc) = pattern_for(2);
         for w in [0usize, 1, 2, 4, 100] {
             for cno in 0..pc {
-                let ops = lookahead_schedule(&g, pc, cno, w);
-                let (applied, max_depth) = replay(&ops, g.nblocks, pc, cno);
+                let ops = lookahead_schedule(&p, pc, cno, w);
+                let (applied, max_depth) = replay(&ops, p.nblocks(), pc, cno);
                 assert!(
                     (max_depth as usize) <= w + 1,
                     "W={w}: pipeline depth {max_depth} exceeds W+1"
                 );
                 // every owned column consumed its full source list
-                for j in 0..g.nblocks {
+                for j in 0..p.nblocks() {
                     let expect = if j % pc == cno {
-                        g.tasks
+                        p.u_blocks
                             .iter()
-                            .filter(|t| matches!(t, TaskKind::Update(_, d) if *d as usize == j))
+                            .filter(|row| row.iter().any(|u| u.j as usize == j))
                             .count() as u32
                     } else {
                         0
@@ -354,9 +347,9 @@ mod tests {
 
     #[test]
     fn w0_is_the_in_order_schedule() {
-        let (g, pc) = graph_for(2);
+        let (p, pc) = pattern_for(2);
         for cno in 0..pc {
-            let ops = lookahead_schedule(&g, pc, cno, 0);
+            let ops = lookahead_schedule(&p, pc, cno, 0);
             // depth 1 everywhere: a stage fully drains before the
             // next-but-one factorization, so nothing is ever deferred
             for op in &ops {
@@ -369,20 +362,20 @@ mod tests {
                 }
             }
             // Retire(k) precedes Factor(k + 2): only one stage in flight
-            let mut factored_beyond = vec![usize::MAX; g.nblocks];
+            let mut factored_beyond = vec![usize::MAX; p.nblocks()];
             for (pos, op) in ops.iter().enumerate() {
                 if let Op2d::Factor { k, .. } = *op {
                     factored_beyond[k as usize] = pos;
                 }
             }
-            let mut retire_pos = vec![usize::MAX; g.nblocks];
+            let mut retire_pos = vec![usize::MAX; p.nblocks()];
             for (pos, op) in ops.iter().enumerate() {
                 if let Op2d::Retire { k } = *op {
                     retire_pos[k as usize] = pos;
                 }
             }
-            for k in 0..g.nblocks.saturating_sub(2) {
-                if k + 2 < g.nblocks && factored_beyond[k + 2] != usize::MAX {
+            for k in 0..p.nblocks().saturating_sub(2) {
+                if k + 2 < p.nblocks() && factored_beyond[k + 2] != usize::MAX {
                     assert!(
                         retire_pos[k] < factored_beyond[k + 2],
                         "W=0: Factor({}) issued before Retire({k})",
@@ -395,9 +388,9 @@ mod tests {
 
     #[test]
     fn lookahead_defers_trailing_updates_past_next_factor() {
-        let (g, pc) = graph_for(2);
+        let (p, pc) = pattern_for(2);
         for cno in 0..pc {
-            let ops = lookahead_schedule(&g, pc, cno, 2);
+            let ops = lookahead_schedule(&p, pc, cno, 2);
             let deferred = ops
                 .iter()
                 .filter(|op| matches!(op, Op2d::Update { deferred: true, .. }))
@@ -417,9 +410,9 @@ mod tests {
     /// drain frontier; at `W = 2` trailing updates are still deferred.
     #[test]
     fn chain_links_are_never_deferred() {
-        let (g, pc) = graph_for(2);
+        let (p, pc) = pattern_for(2);
         for cno in 0..pc {
-            let ops = lookahead_schedule(&g, pc, cno, 1);
+            let ops = lookahead_schedule(&p, pc, cno, 1);
             // a chain link into column `j` is followed only by further
             // links into `j` and then `Factor(j)`; a stage batch's updates
             // end at their `Retire`
@@ -446,7 +439,7 @@ mod tests {
             }
             assert!(chain_links > 0, "W=1 issued no chain links on column {cno}");
             assert!(deep_links > 0, "W=1 chain links never ran two stages deep");
-            let deferred = lookahead_schedule(&g, pc, cno, 2)
+            let deferred = lookahead_schedule(&p, pc, cno, 2)
                 .iter()
                 .filter(|op| matches!(op, Op2d::Update { deferred: true, .. }))
                 .count();
@@ -456,9 +449,9 @@ mod tests {
 
     #[test]
     fn task_multiset_is_window_invariant() {
-        let (g, pc) = graph_for(2);
+        let (p, pc) = pattern_for(2);
         let collect = |w: usize, cno: usize| {
-            let mut v: Vec<(u32, u32)> = lookahead_schedule(&g, pc, cno, w)
+            let mut v: Vec<(u32, u32)> = lookahead_schedule(&p, pc, cno, w)
                 .iter()
                 .filter_map(|op| match op {
                     Op2d::Update { k, j, .. } => Some((*k, *j)),
@@ -481,9 +474,9 @@ mod tests {
     fn retire_count_aligns_across_grid_columns() {
         // barrier mode synchronizes at Retire ops: every grid column must
         // emit exactly `nb` of them, in the same stage order
-        let (g, _) = graph_for(3);
+        let (p, _) = pattern_for(3);
         let seq = |cno: usize| -> Vec<u32> {
-            lookahead_schedule(&g, 3, cno, 1)
+            lookahead_schedule(&p, 3, cno, 1)
                 .iter()
                 .filter_map(|op| match op {
                     Op2d::Retire { k } => Some(*k),
@@ -492,7 +485,7 @@ mod tests {
                 .collect()
         };
         let r0 = seq(0);
-        assert_eq!(r0.len(), g.nblocks);
+        assert_eq!(r0.len(), p.nblocks());
         for cno in 1..3 {
             assert_eq!(seq(cno), r0);
         }

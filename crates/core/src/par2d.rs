@@ -7,8 +7,8 @@
 //!
 //! This is the one 2D engine: a **stage-pipelined lookahead executor**.
 //! Every rank of a grid column replays the deterministic operation list
-//! built by [`splu_sched::lookahead_schedule`] — the paper's Fig. 10/11
-//! priority policy on the real thread machine. With window `W`
+//! that [`lookahead_schedule`] reads from the block pattern — the paper's
+//! Fig. 10/11 priority policy on the real thread machine. With window `W`
 //! ([`Par2dOptions::window`], default [`DEFAULT_LOOKAHEAD`]), stage `k`'s
 //! updates into the next pivot block column run first, `Factor(k+1)` and
 //! its row/column multicasts issue immediately, and up to `W` stages of
@@ -31,13 +31,13 @@
 //! still pipelines between consecutive barriers.
 
 use crate::error::{catch_solver_panic, SolverError};
+use crate::lookahead::{lookahead_schedule, Op2d};
 use crate::scratch::{prep_cap, prep_zeroed_f64, FactorScratch};
 use crate::seq::FactorStats;
 use crate::storage::{BlockMatrix, ColBlock};
 use crate::update::{self, UpdateTask};
 use splu_kernels::dtrsm_left_lower_unit;
 use splu_machine::{run_machine, Grid, Message, ProcCtx, RunOptions};
-use splu_sched::{lookahead_schedule, Op2d, TaskGraph};
 use splu_symbolic::BlockPattern;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -492,9 +492,8 @@ impl Plan2d {
         // One deterministic operation list per grid column, shared by the
         // column's p_r ranks (identical replay is what keeps the
         // intra-column blocking exchanges deadlock-free).
-        let graph = TaskGraph::build(&pattern);
         let schedules = (0..grid.pc)
-            .map(|c| lookahead_schedule(&graph, grid.pc, c, window))
+            .map(|c| lookahead_schedule(&pattern, grid.pc, c, window))
             .collect();
         // The schedule keeps at most `W + 1` stages in flight per grid
         // column between retirements, so `W + 1` per-stage slots are

@@ -4,7 +4,7 @@
 //! ([`idamax`]), column scaling ([`dscal`]), and the row interchange
 //! ([`dswap`]) used by delayed pivoting.
 
-use crate::flops::{record, FlopClass};
+use crate::flops::{self, Level};
 
 /// `y += alpha * x`.
 #[inline]
@@ -16,7 +16,7 @@ pub fn daxpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;
     }
-    record(FlopClass::Blas1, 2 * x.len() as u64);
+    flops::add(Level::L1, 2 * x.len() as u64);
 }
 
 /// `x *= alpha`.
@@ -25,14 +25,14 @@ pub fn dscal(alpha: f64, x: &mut [f64]) {
     for xi in x.iter_mut() {
         *xi *= alpha;
     }
-    record(FlopClass::Blas1, x.len() as u64);
+    flops::add(Level::L1, x.len() as u64);
 }
 
 /// Dot product `xᵀ y`.
 #[inline]
 pub fn ddot(x: &[f64], y: &[f64]) -> f64 {
     debug_assert_eq!(x.len(), y.len());
-    record(FlopClass::Blas1, 2 * x.len() as u64);
+    flops::add(Level::L1, 2 * x.len() as u64);
     x.iter().zip(y).map(|(a, b)| a * b).sum()
 }
 
@@ -81,14 +81,14 @@ pub fn dnrm2(x: &[f64]) -> f64 {
     if scale == 0.0 {
         return 0.0;
     }
-    record(FlopClass::Blas1, 2 * x.len() as u64);
+    flops::add(Level::L1, 2 * x.len() as u64);
     let ssq: f64 = x.iter().map(|&v| (v / scale) * (v / scale)).sum();
     scale * ssq.sqrt()
 }
 
 /// Sum of absolute values `||x||₁`.
 pub fn dasum(x: &[f64]) -> f64 {
-    record(FlopClass::Blas1, x.len() as u64);
+    flops::add(Level::L1, x.len() as u64);
     x.iter().map(|v| v.abs()).sum()
 }
 

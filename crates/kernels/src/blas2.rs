@@ -5,7 +5,7 @@
 //! still needs BLAS-2 for single dense subcolumn updates and the panel
 //! factorization's rank-1 updates ([`dger`]).
 
-use crate::flops::{record, FlopClass};
+use crate::flops::{self, Level};
 
 /// `y = alpha * A * x + beta * y` where `A` is `m × n`, column-major with
 /// leading dimension `lda`.
@@ -48,7 +48,7 @@ pub fn dgemv(
             }
         }
     }
-    record(FlopClass::Blas2, (2 * m * n) as u64);
+    flops::add(Level::L2, (2 * m * n) as u64);
 }
 
 /// Rank-1 update `A += alpha * x * yᵀ` where `A` is `m × n`, column-major
@@ -69,7 +69,7 @@ pub fn dger(m: usize, n: usize, alpha: f64, x: &[f64], y: &[f64], a: &mut [f64],
             }
         }
     }
-    record(FlopClass::Blas2, (2 * m * n) as u64);
+    flops::add(Level::L2, (2 * m * n) as u64);
 }
 
 /// Solve `L x = b` in place (`x` enters as `b`), where `L` is the unit lower
@@ -87,7 +87,7 @@ pub fn dtrsv_lower_unit(n: usize, l: &[f64], lda: usize, x: &mut [f64]) {
             }
         }
     }
-    record(FlopClass::Blas2, (n * n) as u64);
+    flops::add(Level::L2, (n * n) as u64);
 }
 
 /// Solve `U x = b` in place (`x` enters as `b`), where `U` is the non-unit
@@ -111,7 +111,7 @@ pub fn dtrsv_upper(n: usize, u: &[f64], lda: usize, x: &mut [f64]) {
             }
         }
     }
-    record(FlopClass::Blas2, (n * n) as u64);
+    flops::add(Level::L2, (n * n) as u64);
 }
 
 #[cfg(test)]

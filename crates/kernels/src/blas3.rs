@@ -33,7 +33,7 @@
 //! paper's cost model (§6.1) relies on; `results/BENCH_kernels.json`
 //! records the measured blocked-vs-naive ratio on the host machine.
 
-use crate::flops::{record, FlopClass};
+use crate::flops::{self, Level};
 use std::cell::RefCell;
 
 /// Micro-kernel tile height (rows of `C` per register tile).
@@ -217,7 +217,7 @@ pub fn dgemm_with(
     } else {
         gemm_axpy(m, n, k, alpha, a, lda, b, ldb, c, ldc);
     }
-    record(FlopClass::Blas3, (2 * m * n * k) as u64);
+    flops::add(Level::L3, (2 * m * n * k) as u64);
 }
 
 /// Whether [`dgemm_with`] routes shape `(m, n, k)` to the cache-blocked
@@ -264,7 +264,7 @@ pub fn dgemm_naive(
         return;
     }
     gemm_axpy(m, n, k, alpha, a, lda, b, ldb, c, ldc);
-    record(FlopClass::Blas3, (2 * m * n * k) as u64);
+    flops::add(Level::L3, (2 * m * n * k) as u64);
 }
 
 /// `C *= beta` over the `m × n` window (beta == 0 overwrites, clearing NaN).
@@ -826,7 +826,7 @@ pub fn dgemm_packed_sub_scatter(
     };
     #[cfg(not(target_arch = "x86_64"))]
     let dropped = packed_sub_scatter::<SCALAR>(m, n, k, apack, bpack, dest, to);
-    record(FlopClass::Blas3, (2 * m * n * k) as u64);
+    flops::add(Level::L3, (2 * m * n * k) as u64);
     dropped
 }
 
@@ -1051,7 +1051,7 @@ pub fn dtrsm_left_lower_unit(m: usize, n: usize, l: &[f64], ldl: usize, b: &mut 
         }
         pb += tb;
     }
-    record(FlopClass::Blas3, (m * m * n) as u64);
+    flops::add(Level::L3, (m * m * n) as u64);
 }
 
 /// One forward-substitution column against the unit-lower block.
@@ -1150,7 +1150,7 @@ pub fn dtrsm_left_upper(m: usize, n: usize, u: &[f64], ldu: usize, b: &mut [f64]
             gemm_axpy(pb, n, tb, -1.0, &u[pb * ldu..], ldu, &xstrip, tb, b, ldb);
         }
     }
-    record(FlopClass::Blas3, (m * m * n) as u64);
+    flops::add(Level::L3, (m * m * n) as u64);
 }
 
 #[cfg(test)]
@@ -1555,19 +1555,19 @@ mod tests {
 
     #[test]
     fn flop_counter_records_blas3() {
-        use crate::flops::{thread_count, FlopClass};
-        let before = thread_count(FlopClass::Blas3);
+        let l3 = || flops::snapshot()[Level::L3 as usize];
+        let before = l3();
         let a = DenseMat::identity(4);
         let b = DenseMat::identity(4);
         let mut c = DenseMat::zeros(4, 4);
         dgemm_full(&a, &b, 1.0, 0.0, &mut c);
-        assert_eq!(thread_count(FlopClass::Blas3) - before, 2 * 4 * 4 * 4);
+        assert_eq!(l3() - before, 2 * 4 * 4 * 4);
     }
 
     /// Blocked trsm must not double-count the internal GEMM flops.
     #[test]
     fn flop_counter_trsm_blocked_counts_once() {
-        use crate::flops::{thread_count, FlopClass};
+        let l3 = || flops::snapshot()[Level::L3 as usize];
         let m = TB + 5;
         let n = 3;
         let l = DenseMat::from_fn(m, m, |i, j| {
@@ -1581,9 +1581,9 @@ mod tests {
         });
         let mut b = DenseMat::from_fn(m, n, |i, j| (i + j) as f64);
         let ldb = b.lda();
-        let before = thread_count(FlopClass::Blas3);
+        let before = l3();
         dtrsm_left_lower_unit(m, n, l.as_slice(), m, b.as_mut_slice(), ldb);
-        assert_eq!(thread_count(FlopClass::Blas3) - before, (m * m * n) as u64);
+        assert_eq!(l3() - before, (m * m * n) as u64);
     }
 
     /// The update-stage kernel pair for one product: the fused packed
@@ -1793,7 +1793,7 @@ mod tests {
     /// The fused kernel records its `2·m·n·k` flops exactly once per call.
     #[test]
     fn fused_update_counts_flops_once() {
-        use crate::flops::{thread_count, FlopClass};
+        let l3 = || flops::snapshot()[Level::L3 as usize];
         let (m, n, k) = (25usize, 9usize, KC + 1);
         let a = DenseMat::from_fn(m, k, |i, p| (i as f64) - p as f64);
         let b = DenseMat::from_fn(k, n, |p, j| (p + j) as f64 * 0.5);
@@ -1811,18 +1811,11 @@ mod tests {
             col0: 0,
             ld: m,
         };
-        let before = thread_count(FlopClass::Blas3);
+        let before = l3();
         dgemm_packed_sub_scatter(m, n, k, &ap, &bp, &mut dest, &to);
-        assert_eq!(
-            thread_count(FlopClass::Blas3) - before,
-            (2 * m * n * k) as u64
-        );
-        let before = thread_count(FlopClass::Blas3);
+        assert_eq!(l3() - before, (2 * m * n * k) as u64);
+        let before = l3();
         scatter_sub(m, n, &ap, m, &mut dest, &to);
-        assert_eq!(
-            thread_count(FlopClass::Blas3),
-            before,
-            "a scatter is not a product"
-        );
+        assert_eq!(l3(), before, "a scatter is not a product");
     }
 }

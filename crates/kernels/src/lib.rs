@@ -15,10 +15,10 @@
 //! * a dense Gaussian-elimination-with-partial-pivoting reference
 //!   factorization ([`dense_lu`]) used as the correctness oracle for the
 //!   sparse codes (it implements Fig. 1 of the paper for the dense case),
-//! * flop accounting per BLAS level ([`flops`]), used by the benchmark
-//!   harnesses to measure the BLAS-3 fraction of the numerical updates
-//!   (the paper reports "more than 64 percent of numerical updates is
-//!   performed by the BLAS-3 routine DGEMM").
+//! * flop accounting per BLAS level ([`flops`], `splu-probe`'s one
+//!   thread-local counter), which measures the BLAS-3 fraction of the
+//!   numerical updates (the paper reports "more than 64 percent of
+//!   numerical updates is performed by the BLAS-3 routine DGEMM").
 //!
 //! All kernels use column-major storage with an explicit leading dimension
 //! (`lda`), mirroring the Fortran BLAS interface, so they can operate
@@ -39,7 +39,6 @@ pub use blas3::{
     packed_b_len, scatter_sub, GemmScratch, Scatter, SegmentPack,
 };
 pub use dense_lu::{dense_lu, dense_solve, DenseLu};
-pub use flops::FlopClass;
 pub use matrix::DenseMat;
 
 #[cfg(test)]

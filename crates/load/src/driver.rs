@@ -11,9 +11,9 @@
 //!
 //! **Throughput is goodput**: `req_per_sec` counts only requests solved
 //! within their deadline, divided by the total wall time including the
-//! drain. On a single-core host (like the reference benchmark machine)
-//! raw completion throughput is pinned by the CPU, but goodput still
-//! separates configurations: one factor worker serializes cheap churn
+//! drain. Once the host's cores are saturated, raw completion throughput
+//! is pinned by the CPU, but goodput still separates configurations:
+//! one factor worker serializes cheap churn
 //! refactors behind multi-ms cold factorizations and their dependent
 //! solves blow their deadlines, while several factor workers let the
 //! OS timeslice the cold work under the small jobs.

@@ -17,7 +17,6 @@
 //! jitter the runtime keeps strict FIFO order within a tag.
 
 use crate::chan::{unbounded, Receiver, Sender};
-use splu_probe::metrics::{self, Counter, Histogram};
 use splu_probe::{Collector, Probe};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -92,7 +91,6 @@ pub struct ProcCtx {
     pub max_pending_bytes: u64,
     stats: Arc<CommStats>,
     probe: Probe,
-    metrics: RankMetrics,
     pool_ints: Vec<Vec<u32>>,
     pool_floats: Vec<Vec<f64>>,
     /// The run's all-ranks barrier ([`ProcCtx::barrier`]).
@@ -167,29 +165,6 @@ impl JitterRng {
 /// this the returned buffers are simply dropped (bounds pool memory).
 const POOL_CAP: usize = 32;
 
-/// Always-on per-rank production metrics (the [`metrics::global`]
-/// registry): message/byte counts and time spent blocked in `recv`
-/// waiting for a message that had not arrived ("park time"). Handles
-/// are resolved once per run; updates are relaxed atomics.
-struct RankMetrics {
-    messages: Arc<Counter>,
-    send_bytes: Arc<Counter>,
-    park_us: Arc<Counter>,
-    park_hist: Arc<Histogram>,
-}
-
-impl RankMetrics {
-    fn for_rank(rank: usize) -> Self {
-        let g = metrics::global();
-        Self {
-            messages: g.counter(&format!("splu_machine_messages_total{{rank=\"{rank}\"}}")),
-            send_bytes: g.counter(&format!("splu_machine_send_bytes_total{{rank=\"{rank}\"}}")),
-            park_us: g.counter(&format!("splu_machine_park_us_total{{rank=\"{rank}\"}}")),
-            park_hist: g.histogram("splu_machine_park_us"),
-        }
-    }
-}
-
 impl ProcCtx {
     fn park(&mut self, m: Message) {
         self.pending_bytes += m.nbytes();
@@ -221,8 +196,6 @@ impl ProcCtx {
         self.probe.mark("send", msg.nbytes());
         self.probe.count("sends", 1);
         self.probe.count("send_bytes", msg.nbytes());
-        self.metrics.messages.inc();
-        self.metrics.send_bytes.add(msg.nbytes());
         self.senders[dest]
             .send(msg)
             .expect("receiver hung up — a processor panicked");
@@ -295,10 +268,9 @@ impl ProcCtx {
         }
         // The wanted message has not arrived: this receive blocks. Time
         // the blocked stretch — it is the runtime's "park time" (pivot/
-        // panel wait in the 2D protocol) — and report it both to the
-        // always-on metrics registry and, as a `recv-wait` mark whose
-        // detail is the waited nanoseconds, to the flight recorder for
-        // `splu analyze`'s pivot-wait attribution.
+        // panel wait in the 2D protocol) — and report it as a `recv-wait`
+        // mark whose detail is the waited nanoseconds to the flight
+        // recorder, for `splu analyze`'s pivot-wait attribution.
         let blocked_at = std::time::Instant::now();
         loop {
             let m = self
@@ -311,9 +283,6 @@ impl ProcCtx {
             }
             if m.tag == tag {
                 let waited = blocked_at.elapsed();
-                let wait_us = waited.as_micros() as u64;
-                self.metrics.park_us.add(wait_us);
-                self.metrics.park_hist.record(wait_us);
                 self.probe.mark("recv-wait", waited.as_nanos() as u64);
                 self.probe.count("recv_wait_ns", waited.as_nanos() as u64);
                 self.probe.mark("recv", m.nbytes());
@@ -502,7 +471,6 @@ where
                 max_pending_bytes: 0,
                 stats: stats.clone(),
                 probe: Probe::disabled(),
-                metrics: RankMetrics::for_rank(rank),
                 pool_ints: Vec::new(),
                 pool_floats: Vec::new(),
                 barrier: barrier.clone(),
@@ -798,51 +766,6 @@ mod tests {
         assert_eq!(t.counter_max("parked_bytes_hw"), 100);
         assert_eq!(t.counter_total("parks"), 1);
         assert_eq!(t.counter_total("unparks"), 1);
-    }
-
-    #[test]
-    fn blocked_recv_reports_park_time_metrics() {
-        // rank 1 blocks on a message rank 0 sends after a delay: park
-        // time must land in the global metrics registry for that rank.
-        let before = metrics::global().counter_value("splu_machine_park_us_total{rank=\"1\"}");
-        let hist_before = metrics::global()
-            .histogram_summary("splu_machine_park_us")
-            .count;
-        run_machine(2, &RunOptions::default(), |mut ctx| {
-            if ctx.rank == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-                ctx.send(1, Message::new(1, vec![1], vec![]));
-            } else {
-                ctx.recv(1);
-            }
-        });
-        let after = metrics::global().counter_value("splu_machine_park_us_total{rank=\"1\"}");
-        assert!(after >= before + 3_000, "≥3 ms of park time recorded");
-        let hist_after = metrics::global()
-            .histogram_summary("splu_machine_park_us")
-            .count;
-        assert!(hist_after > hist_before);
-    }
-
-    #[test]
-    fn per_rank_message_metrics_accumulate() {
-        // the counters are process-global and the tests run concurrently:
-        // send from rank 7, which no other test of this binary has
-        let before = metrics::global().counter_value("splu_machine_messages_total{rank=\"7\"}");
-        let bytes_before =
-            metrics::global().counter_value("splu_machine_send_bytes_total{rank=\"7\"}");
-        run_machine(8, &RunOptions::default(), |mut ctx| {
-            if ctx.rank == 7 {
-                ctx.send(6, Message::new(1, vec![0; 3], vec![]));
-            } else if ctx.rank == 6 {
-                ctx.recv(1);
-            }
-        });
-        let after = metrics::global().counter_value("splu_machine_messages_total{rank=\"7\"}");
-        let bytes_after =
-            metrics::global().counter_value("splu_machine_send_bytes_total{rank=\"7\"}");
-        assert_eq!(after, before + 1);
-        assert_eq!(bytes_after, bytes_before + 12);
     }
 
     #[test]

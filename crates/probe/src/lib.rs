@@ -18,8 +18,9 @@
 //!   communication volume, buffer high-water, load imbalance).
 //! * [`json`] — a minimal JSON parser so tests can round-trip the
 //!   exported files without external crates.
-//! * [`flops`] — thread-local flop counters the BLAS kernels feed, split
-//!   by BLAS level (the paper's `w1`/`w2`/`w3` distinction).
+//! * [`flops`] — the one flop counter: thread-locals the BLAS kernels
+//!   feed in every build, split by BLAS level (the paper's
+//!   `w1`/`w2`/`w3` distinction).
 //! * [`gantt`] — the generic text Gantt renderer (shared with
 //!   `splu-sched`'s Fig.-11 charts).
 //!
@@ -31,7 +32,8 @@
 //! With the `probe` cargo feature **off** (the default for this crate
 //! alone), [`Probe`] is a zero-sized type and every recording method is
 //! an empty `#[inline]` function — instrumented code paths compile to
-//! no-ops and behavior is bit-for-bit identical. The root `sstar`
+//! no-ops and behavior is bit-for-bit identical. The [`flops`] and
+//! [`metrics`] counters stay on either way. The root `sstar`
 //! package turns the feature on by default. [`ENABLED`] reports which
 //! way this build went.
 

@@ -21,7 +21,7 @@ use crate::json::escape_into;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Number of histogram buckets: the zero bucket plus one per power of
 /// two up to `2^63`.
@@ -224,7 +224,7 @@ struct Families {
 /// Name-keyed metric registry. `counter`/`gauge`/`histogram` get or
 /// create a handle under one short mutex acquisition; the handles
 /// themselves are lock-free. Names may carry a Prometheus label set
-/// (`splu_machine_messages_total{rank="3"}`); the exporters keep it
+/// (`splu_worker_busy_us{worker="3"}`); the exporters keep it
 /// intact.
 #[derive(Default)]
 pub struct Registry {
@@ -432,14 +432,6 @@ fn json_key(out: &mut String, first: &mut bool, name: &str) {
     out.push_str(": ");
 }
 
-/// The process-wide registry. The machine runtime reports per-rank
-/// communication and park time here; anything without a natural
-/// per-component registry may use it too.
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -619,11 +611,5 @@ mod tests {
         let s = a.histogram_summary("h");
         assert_eq!(s.count, 2);
         assert_eq!(s.sum, 94);
-    }
-
-    #[test]
-    fn global_registry_is_shared() {
-        global().counter("metrics_selftest_total").inc();
-        assert!(global().counter_value("metrics_selftest_total") >= 1);
     }
 }

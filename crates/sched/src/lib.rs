@@ -20,13 +20,16 @@
 //! processor counts beyond the host's cores (see `DESIGN.md` §3).
 //! [`gantt`] renders Fig.-11-style charts and [`load_balance`] computes
 //! Fig. 18's statistic.
+//!
+//! This crate is the model only. The thread engine's operation list is
+//! built in `splu-core::lookahead` straight from the block pattern, so no
+//! factor path builds a [`TaskGraph`].
 
 pub mod ca;
 pub mod gantt;
 pub mod graph2d;
 pub mod graph_sched;
 pub mod load_balance;
-pub mod lookahead;
 pub mod sim;
 pub mod taskdag;
 pub mod taskgraph;
@@ -34,7 +37,6 @@ pub mod taskgraph;
 pub use ca::ca_schedule;
 pub use graph2d::{build_2d_model, Mode2d, Model2d};
 pub use graph_sched::{graph_schedule, graph_schedule_with, MappingPolicy};
-pub use lookahead::{lookahead_schedule, Op2d};
 pub use sim::{simulate, Schedule, SimResult};
 pub use taskdag::{plan_taskdag, taskdag_sim_schedule, TaskDagPlan};
 pub use taskgraph::{TaskGraph, TaskKind};

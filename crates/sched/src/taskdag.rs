@@ -1,6 +1,6 @@
 //! Elimination-tree task-DAG plan for the discrete-event model.
 //!
-//! The stage pipeline ([`crate::lookahead`]) factors block columns in
+//! The stage pipeline (`splu_core::lookahead`) factors block columns in
 //! index order, so two columns in *disjoint elimination subtrees* — with
 //! no dependency path between them — still serialize behind one another.
 //! This module builds a tree-aware plan and replays it on the simulator

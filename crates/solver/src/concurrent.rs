@@ -122,7 +122,10 @@ pub struct ShardSnapshot {
     pub entries: usize,
     /// Resident bytes.
     pub resident_bytes: usize,
-    /// `with_shard` calls routed to this shard.
+    /// `with_shard` calls routed to this shard: one per request's
+    /// admission lookup, one per factor task's lookup (factor hit,
+    /// analysis hit or miss, resolved under one lock) and one per
+    /// factorization it inserts.
     pub lookups: u64,
     /// Lock acquisitions that found the shard mutex already held
     /// (`try_lock` failed and the caller had to block).
@@ -750,22 +753,26 @@ fn run_flight(
     let (pfp, vfp) = key;
     let start = Instant::now();
     let result = (|| {
-        // Recheck under the shard lock: a racing flight for the same
+        // Recheck under one shard lock: a racing flight for the same
         // pattern (different values) may have landed since admission,
         // or an eviction may have removed the analysis — both paths
-        // re-resolve here.
-        if let Some(f) = inner.cache.with_shard(pfp, |c| c.get_factor(pfp, vfp)) {
-            return Ok((f, Reuse::Full));
-        }
-        let (analysis, reuse) = match inner.cache.with_shard(pfp, |c| c.get_analysis(pfp)) {
-            Some(an) => {
-                inner.cache.with_shard(pfp, |c| c.note_refactor());
-                (an, Reuse::Analysis)
+        // re-resolve here, and the counters record the work about to run.
+        let found = inner.cache.with_shard(pfp, |c| {
+            if let Some(f) = c.get_factor(pfp, vfp) {
+                return Ok(f);
             }
-            None => {
-                inner.cache.with_shard(pfp, |c| c.note_miss());
-                (Analysis::of(a, inner.options), Reuse::None)
+            let an = c.get_analysis(pfp);
+            if an.is_some() {
+                c.note_refactor();
+            } else {
+                c.note_miss();
             }
+            Err(an)
+        });
+        let (analysis, reuse) = match found {
+            Ok(f) => return Ok((f, Reuse::Full)),
+            Err(Some(an)) => (an, Reuse::Analysis),
+            Err(None) => (Analysis::of(a, inner.options), Reuse::None),
         };
         let f = analysis.factorize(a)?;
         inner
@@ -1037,6 +1044,31 @@ mod tests {
         assert_eq!(snaps.len(), 1);
         assert_eq!(snaps[0].entries, 2);
         assert!(snaps[0].lookups >= 7);
+    }
+
+    #[test]
+    fn one_shard_pins_lookups_per_request() {
+        let svc = ConcurrentService::new(config(1, 1));
+        let lookups = || svc.inner.cache.snapshots()[0].lookups;
+        let a = matrix(12, 12);
+        // cold: admission miss, the flight's lookup (a miss), its insert
+        let (_, reuse) = svc.factorization_blocking(&a).unwrap();
+        assert_eq!(reuse, Reuse::None);
+        assert_eq!(lookups(), 3);
+        // same pattern, new values: admission miss, the flight's lookup
+        // (an analysis hit), its insert
+        let a2 = Arc::new(gen::perturb_values(&a, 7));
+        let (_, reuse) = svc.factorization_blocking(&a2).unwrap();
+        assert_eq!(reuse, Reuse::Analysis);
+        assert_eq!(lookups(), 6);
+        // full hit: the admission lookup alone
+        let (_, reuse) = svc.factorization_blocking(&a2).unwrap();
+        assert_eq!(reuse, Reuse::Full);
+        assert_eq!(lookups(), 7);
+        let report = svc.finish();
+        assert_eq!(report.cache.analysis_misses, 1);
+        assert_eq!(report.cache.refactors, 1);
+        assert_eq!(report.cache.factor_hits, 1);
     }
 
     #[test]

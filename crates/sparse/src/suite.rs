@@ -130,8 +130,8 @@ pub const LARGE: &[&str] = &[
 /// bordered hierarchical matrices — power-law circuits and 3D 7-point
 /// meshes — where elimination-subtree parallelism is structural, not
 /// incidental. Benchmarked by `splu bench-lu --suite large` through the
-/// machine model (the matrices are far too large for wall-clock
-/// thread-simulated runs on a 1-core host). Built with the *natural*
+/// machine model (the matrices are far too large for wall-clock runs of
+/// the thread engine on a host with a few cores). Built with the *natural*
 /// ordering: the generators emit subdomains-then-border directly, which
 /// min-degree would only scramble (and its quotient-graph pass costs
 /// minutes at n = 200k+).
@@ -276,10 +276,10 @@ pub fn all() -> Vec<MatrixSpec> {
         },
         // The n = 50k–500k extension tier ([`XLARGE`]): hierarchical
         // (bordered block-diagonal) matrices whose block elimination
-        // trees have dozens-to-hundreds of independent subtrees — the
-        // structural class the task-DAG planner exists for. `paper_n` /
-        // `paper_nnz` record the generated order and nnz (there is no
-        // paper counterpart).
+        // trees have dozens-to-hundreds of independent subtrees, where the
+        // modeled large tier compares schedules beyond the stage
+        // pipeline. `paper_n` / `paper_nnz` record the generated order
+        // and nnz (there is no paper counterpart).
         MatrixSpec {
             name: "hier20k",
             paper_n: 19888,

@@ -38,15 +38,15 @@
 //!
 //! | module | crate | contents |
 //! |--------|-------|----------|
-//! | [`kernels`] | `splu-kernels` | dense BLAS-1/2/3, dense GEPP oracle, flop accounting |
+//! | [`kernels`] | `splu-kernels` | dense BLAS-1/2/3, dense GEPP oracle, per-level flop counts (through `splu-probe`'s one counter) |
 //! | [`sparse`] | `splu-sparse` | CSC/COO formats, Matrix-Market I/O, pattern algebra, generators, the benchmark suite |
 //! | [`order`] | `splu-order` | Duff transversal, minimum degree on `AᵀA`, RCM, etree utilities |
 //! | [`symbolic`] | `splu-symbolic` | static symbolic factorization, supernodes, amalgamation, 2D block pattern |
 //! | [`superlu`] | `splu-superlu` | Gilbert–Peierls GEPP baseline (op counts, nnz, supernode stats) |
 //! | [`machine`] | `splu-machine` | thread message-passing runtime, processor grid, T3D/T3E cost model |
-//! | [`probe`] | `splu-probe` | flight-recorder tracing: spans/counters, Chrome-trace & summary-JSON export |
-//! | [`sched`] | `splu-sched` | task DAG, CA & graph schedules, discrete-event simulator, Gantt, load balance |
-//! | [`core`] | `splu-core` | S\* numeric factorization: sequential, 2D (async / barrier; `1 × P` is the 1D code), solvers |
+//! | [`probe`] | `splu-probe` | flight-recorder tracing: spans/counters, Chrome-trace & summary-JSON export; the always-on flop counter and metrics registry |
+//! | [`sched`] | `splu-sched` | the model: task DAG, CA & graph schedules, discrete-event simulator, Gantt, load balance |
+//! | [`core`] | `splu-core` | S\* numeric factorization: sequential, 2D (async / barrier; `1 × P` is the 1D code) with its op lists read from the block pattern, solvers |
 //! | [`solver`] | `splu-solver` | analyze/factorize/solve service: staged handles, pattern-keyed factorization cache, bounded solve work queue, concurrent serving layer (factor pool, sharded cache, refactor-ahead), batch driver |
 //! | [`load`] | `splu-load` | seeded multi-tenant workload generator and open-loop load driver (`splu loadgen`) |
 //!

@@ -13,10 +13,12 @@ cargo test -q --workspace --no-default-features
 
 # the bitwise-identity suites (every grid × sync mode × lookahead
 # window, supernodes wider than the 48-row TRSM tile, plus adversarial
-# delivery jitter) in both feature configs
-cargo test -q -p splu-core --test stacked_update --test delivery_jitter
+# delivery jitter) and the 2D op lists pinned by hash, in both feature
+# configs
 cargo test -q -p splu-core --test stacked_update --test delivery_jitter \
-    --no-default-features
+    --test schedule_identity
+cargo test -q -p splu-core --test stacked_update --test delivery_jitter \
+    --test schedule_identity --no-default-features
 
 # the analysis identity: permutations, supernode starts, partition, block
 # masks, scatter maps and predicted counts pinned by hash, in both configs
@@ -79,7 +81,8 @@ grep -qF '"splu_worker_busy_us{worker=' results/METRICS_serve.json
 
 # production-load benchmark: replay the seeded 100k-request
 # multi-tenant workload (cold-start / value-churn / pattern-reuse mix,
-# 1000 req/s offered — about 2× the single-core service capacity)
+# 1000 req/s offered — about 2× the service capacity of the single-core
+# host the record was first taken on)
 # against the concurrent solver service, plus the same schedule against
 # a single-factor-worker configuration. The fresh record is gated
 # against the committed one (p95 e2e latency, cache hit rate, goodput —
@@ -120,11 +123,11 @@ grep -q 'bound p_c + W = 3' results/ANALYZE_sherman5_2x2.txt
 # being well-formed: every driver of every matrix reports a positive
 # GFLOP/s with its update-stage breakdown, and the warmed sequential
 # arena grew zero buffers (the allocation-free hot-path proof). The
-# default tolerance here is 40 (not the gate's built-in 15): the
-# parallel drivers oversubscribe one core with thread-simulated
-# processors, and their GFLOP/s swings ±30-50 % run to run with OS
-# scheduling on an otherwise idle 1-core host (the suite matrices
-# factor in tens of ms, so a single preemption moves the number).
+# default tolerance here is 40 (not the gate's built-in 15): the par2d
+# cells run four thread ranks (a 2×2 grid) on however few cores the host
+# has, and their GFLOP/s swings ±30-50 % run to run with OS scheduling
+# (the suite matrices factor in tens of ms, so a single preemption moves
+# the number).
 # Export SPLU_BENCH_TOL_PCT to tighten or loosen.
 cp results/BENCH_lu.json /tmp/BENCH_lu.baseline.json
 if ! SPLU_BENCH_TOL_PCT="${SPLU_BENCH_TOL_PCT:-40}" \
