@@ -28,6 +28,15 @@ pub enum SolverError {
         /// Length actually supplied.
         got: usize,
     },
+    /// No zero-free diagonal exists: a maximum transversal of the matrix
+    /// matches only `matched` of its `n` columns, so no pivot sequence
+    /// can factor it, whatever its values.
+    StructurallySingular {
+        /// Size of a maximum transversal.
+        matched: usize,
+        /// Matrix order.
+        n: usize,
+    },
     /// A matrix handed to refactorization does not share the analyzed
     /// sparsity pattern (fingerprints shown).
     PatternMismatch {
@@ -50,6 +59,11 @@ impl std::fmt::Display for SolverError {
                     "dimension mismatch: expected {expected} values, got {got}"
                 )
             }
+            SolverError::StructurallySingular { matched, n } => write!(
+                f,
+                "matrix is structurally singular: a maximum transversal \
+                 matches {matched} of {n} columns"
+            ),
             SolverError::PatternMismatch { expected, got } => write!(
                 f,
                 "sparsity pattern mismatch: analysis has fingerprint \

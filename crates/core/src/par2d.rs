@@ -218,8 +218,8 @@ fn recv_try_first(ctx: &mut ProcCtx, t: u64) -> (Message, bool) {
 /// this grid row sends for it.
 ///
 /// On a `1 × P` grid an owned column is the whole column, and the host
-/// allocates them all ([`host_columns`]); the rank builds only the
-/// metadata of the others.
+/// fills them all ([`host_columns`]); the rank takes the metadata of the
+/// others from the pattern's layout.
 struct Store2d {
     grid: Grid,
     rno: usize,
@@ -228,23 +228,25 @@ struct Store2d {
 }
 
 impl Store2d {
+    /// Rank `rank`'s share: the columns the host dealt it, or its blocks
+    /// of `a`.
     fn new(
-        a: &splu_sparse::CscMatrix,
+        source: Result<Dealt, &splu_sparse::CscMatrix>,
         pattern: Arc<BlockPattern>,
         grid: Grid,
         rank: usize,
-        host_columns: Option<Dealt>,
     ) -> Self {
         let (rno, cno) = grid.coords_of(rank);
-        let m = match host_columns {
-            Some(columns) => {
-                let mut m = BlockMatrix::from_csc_blocks(a, pattern, |_| true, |_| false);
+        let m = match source {
+            Ok(columns) => {
+                let mut m =
+                    BlockMatrix::zeroed(pattern.clone(), pattern.layout(), |_| (false, false));
                 for (j, col) in columns {
                     m.cols[j] = col;
                 }
                 m
             }
-            None => BlockMatrix::from_csc_blocks(
+            Err(a) => BlockMatrix::from_csc_blocks(
                 a,
                 pattern,
                 |i| i % grid.pr == rno,
@@ -450,7 +452,24 @@ pub fn factor_par2d_with(
     grid: Grid,
     opts: &Par2dOptions,
 ) -> Result<Par2dResult, SolverError> {
-    factor_par2d_reusing(a, pattern, grid, opts, &mut FactorScratch::new())
+    factor_par2d_reusing(
+        Input::Csc(a),
+        pattern,
+        grid,
+        opts,
+        &mut FactorScratch::new(),
+    )
+}
+
+/// The matrix a 2D run factors.
+pub(crate) enum Input<'a> {
+    /// The preprocessed matrix: on a `1 × P` grid the host fills the
+    /// whole storage from it ([`BlockMatrix::from_csc`]), on other grids
+    /// each rank fills its share.
+    Csc(&'a splu_sparse::CscMatrix),
+    /// The whole storage, already filled (`1 × P` grids only), and the
+    /// entry count of the matrix filled in.
+    Filled(BlockMatrix, usize),
 }
 
 /// [`factor_par2d_with`] with the plan ([`Plan2d`]) kept in `scratch`: it
@@ -458,26 +477,24 @@ pub fn factor_par2d_with(
 /// grid and window stay the same, so a warmed call rebuilds no schedule
 /// and grows no arena.
 pub(crate) fn factor_par2d_reusing(
-    a: &splu_sparse::CscMatrix,
+    input: Input,
     pattern: Arc<BlockPattern>,
     grid: Grid,
     opts: &Par2dOptions,
     scratch: &mut FactorScratch,
 ) -> Result<Par2dResult, SolverError> {
-    let fits =
-        |p: &Plan2d| Arc::ptr_eq(&p.pattern, &pattern) && p.grid == grid && p.window == opts.window;
-    if !scratch.plan2d.as_deref().is_some_and(fits) {
-        scratch.plan2d = Some(Box::new(Plan2d::build(pattern, grid, opts.window)));
+    let cache = scratch.pattern_cache(&pattern);
+    let fits = |p: &Plan2d| p.grid == grid && p.window == opts.window;
+    if !cache.plan2d.as_ref().is_some_and(fits) {
+        cache.plan2d = Some(Plan2d::build(pattern, grid, opts.window));
     }
-    let plan = scratch.plan2d.as_deref().expect("plan built above");
-    catch_solver_panic(|| factor2d_grid(a, plan, opts))
+    let plan = cache.plan2d.as_ref().expect("plan built above");
+    catch_solver_panic(|| factor2d_grid(input, plan, opts))
 }
 
 /// The value-independent half of a 2D factorization, which depends only
 /// on the pattern, the grid and the window: one operation list per grid
-/// column, the number of per-stage slots, and one arena per rank. Holding
-/// the pattern keeps its identity from being reused by another
-/// allocation while the plan is cached.
+/// column, the number of per-stage slots, and one arena per rank.
 pub(crate) struct Plan2d {
     pattern: Arc<BlockPattern>,
     grid: Grid,
@@ -514,41 +531,47 @@ impl Plan2d {
 /// move its arena (or its host columns) in or out, never while it works.
 const UNLOCKED: &str = "a rank arena's lock is never held across a panic";
 
-/// The columns the host allocated for one rank, with their indices.
+/// The columns the host filled for one rank, with their indices.
 type Dealt = Vec<(usize, ColBlock)>;
 
-/// On a `1 × P` grid, every column of `a`'s block storage allocated on the
-/// host in the sequential code's layout ([`BlockMatrix::from_csc`]) and
-/// dealt to its owning rank, which factors it in place; the reassembly
-/// moves the columns back, so the factors keep that layout. Solves
-/// against panels the ranks allocate themselves run 12–24 % slower
-/// (EXPERIMENTS.md, "Parallel on the product path"). `None` on grids
-/// with more than one row, whose ranks hold parts of columns.
-fn host_columns(
-    a: &splu_sparse::CscMatrix,
+/// On a `1 × P` grid, every column of the whole storage, filled on the
+/// host in the sequential code's layout and dealt to its owning rank,
+/// which factors it in place; the reassembly moves the columns back, so
+/// the factors keep that layout. Solves against panels the ranks allocate
+/// themselves run 12–24 % slower (EXPERIMENTS.md, "Parallel on the
+/// product path"). Each rank fills its own share on grids with more than
+/// one row, whose ranks hold parts of columns.
+fn host_columns<'a>(
+    input: Input<'a>,
     pattern: &Arc<BlockPattern>,
     grid: Grid,
-) -> Option<Vec<Mutex<Dealt>>> {
-    if grid.pr != 1 {
-        return None;
-    }
+) -> Result<Vec<Mutex<Dealt>>, &'a splu_sparse::CscMatrix> {
+    let full = match input {
+        Input::Csc(a) if grid.pr != 1 => return Err(a),
+        Input::Csc(a) => BlockMatrix::from_csc(a, pattern.clone()),
+        Input::Filled(m, _) => m,
+    };
+    assert_eq!(grid.pr, 1, "filled storage is dealt on a 1 x P grid");
     let mut dealt: Vec<Dealt> = vec![Vec::new(); grid.nprocs()];
-    let full = BlockMatrix::from_csc(a, pattern.clone());
     for (j, col) in full.cols.into_iter().enumerate() {
         dealt[grid.rank_of(0, j % grid.pc)].push((j, col));
     }
-    Some(dealt.into_iter().map(Mutex::new).collect())
+    Ok(dealt.into_iter().map(Mutex::new).collect())
 }
 
 /// The body of [`factor_par2d_with`], inside its panic boundary: `plan`'s
-/// grid factors `a`, rank `r` working in `plan.ranks[r]`'s arena.
-fn factor2d_grid(a: &splu_sparse::CscMatrix, plan: &Plan2d, opts: &Par2dOptions) -> Par2dResult {
+/// grid factors `input`, rank `r` working in `plan.ranks[r]`'s arena.
+fn factor2d_grid(input: Input, plan: &Plan2d, opts: &Par2dOptions) -> Par2dResult {
     assert!(opts.threshold > 0.0 && opts.threshold <= 1.0);
     let (pattern, grid, ranks) = (&plan.pattern, plan.grid, &plan.ranks);
     let (schedules, stage_slots) = (&plan.schedules, plan.stage_slots);
     let nb = pattern.nblocks();
     let clock = AtomicU64::new(0);
-    let dealt = host_columns(a, pattern, grid);
+    let nnz = match &input {
+        Input::Csc(a) => a.nnz(),
+        Input::Filled(_, nnz) => *nnz,
+    };
+    let source = host_columns(input, pattern, grid);
 
     let t0 = std::time::Instant::now();
     type RankOut = (
@@ -560,10 +583,11 @@ fn factor2d_grid(a: &splu_sparse::CscMatrix, plan: &Plan2d, opts: &Par2dOptions)
         (u64, u64),
     );
     let spmd = |ctx: ProcCtx| {
-        let mine = dealt
+        let mine = source
             .as_ref()
-            .map(|d| std::mem::take(&mut *d[ctx.rank].lock().expect(UNLOCKED)));
-        let st = Store2d::new(a, pattern.clone(), grid, ctx.rank, mine);
+            .map(|d| std::mem::take(&mut *d[ctx.rank].lock().expect(UNLOCKED)))
+            .map_err(|&a| a);
+        let st = Store2d::new(mine, pattern.clone(), grid, ctx.rank);
         let mut scratch = std::mem::take(&mut *ranks[ctx.rank].lock().expect(UNLOCKED));
         let grow0 = scratch.grow_events();
         scratch.ensure_stage_slots(stage_slots);
@@ -588,7 +612,7 @@ fn factor2d_grid(a: &splu_sparse::CscMatrix, plan: &Plan2d, opts: &Par2dOptions)
             // overestimation statistic), recorded once per run
             me.ctx.probe().count(
                 "fill_entries",
-                (pattern.storage_entries() as u64).saturating_sub(a.nnz() as u64),
+                (pattern.storage_entries() as u64).saturating_sub(nnz as u64),
             );
         }
 
@@ -1646,22 +1670,25 @@ mod tests {
         let pattern = pattern_for(&a, 4, 6);
         let (opts, grid) = (Par2dOptions::default(), Grid::new(1, 2));
         let mut scratch = FactorScratch::new();
-        let cold = factor_par2d_reusing(&a, pattern.clone(), grid, &opts, &mut scratch).unwrap();
+        fn plan(s: &FactorScratch) -> &Plan2d {
+            s.cache.as_ref().unwrap().plan2d.as_ref().unwrap()
+        }
+        let run = |p: &Arc<BlockPattern>, grid, s: &mut FactorScratch| {
+            factor_par2d_reusing(Input::Csc(&a), p.clone(), grid, &opts, s).unwrap()
+        };
+        let cold = run(&pattern, grid, &mut scratch);
         assert!(cold.stats.scratch_grow_events > 0);
-        let plan: *const Plan2d = scratch.plan2d.as_deref().unwrap();
-        let warm = factor_par2d_reusing(&a, pattern.clone(), grid, &opts, &mut scratch).unwrap();
+        let first: *const Plan2d = plan(&scratch);
+        let warm = run(&pattern, grid, &mut scratch);
         assert_eq!(warm.stats.scratch_grow_events, 0);
-        assert!(std::ptr::eq(plan, scratch.plan2d.as_deref().unwrap()));
+        assert!(std::ptr::eq(first, plan(&scratch)));
         assert_eq!(warm.pivots, cold.pivots);
         // another grid, or another pattern, replaces the plan
-        factor_par2d_reusing(&a, pattern, Grid::new(2, 1), &opts, &mut scratch).unwrap();
-        assert_eq!(scratch.plan2d.as_deref().unwrap().grid, Grid::new(2, 1));
+        run(&pattern, Grid::new(2, 1), &mut scratch);
+        assert_eq!(plan(&scratch).grid, Grid::new(2, 1));
         let other = pattern_for(&a, 4, 6);
-        factor_par2d_reusing(&a, other.clone(), Grid::new(2, 1), &opts, &mut scratch).unwrap();
-        assert!(Arc::ptr_eq(
-            &scratch.plan2d.as_deref().unwrap().pattern,
-            &other
-        ));
+        run(&other, Grid::new(2, 1), &mut scratch);
+        assert!(Arc::ptr_eq(&plan(&scratch).pattern, &other));
     }
 
     #[test]

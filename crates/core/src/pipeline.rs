@@ -10,7 +10,7 @@
 //! ```
 
 use crate::error::SolverError;
-use crate::par2d::{factor_par2d_reusing, Par2dOptions};
+use crate::par2d::{factor_par2d_reusing, Input, Par2dOptions};
 use crate::scratch::FactorScratch;
 use crate::seq::{factor_sequential_with, FactorStats};
 use crate::solve::{
@@ -21,7 +21,8 @@ use splu_machine::{Grid, RunOptions};
 use splu_order::ColumnOrdering;
 use splu_sparse::{CscMatrix, Perm};
 use splu_symbolic::{
-    amalgamate, partition_supernodes, static_symbolic_factorization, BlockPattern, StaticStructure,
+    amalgamate, partition_supernodes, static_symbolic_factorization, BlockPattern, Slot,
+    StaticStructure,
 };
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -178,15 +179,35 @@ impl SparseLuSolver {
     /// Run preprocessing and symbolic analysis for `a`.
     ///
     /// # Panics
-    /// Panics if `a` is not square or is structurally singular.
+    /// Panics if `a` is not square or is structurally singular
+    /// ([`SparseLuSolver::try_analyze`] returns either as an error).
     pub fn analyze(a: &CscMatrix, options: FactorOptions) -> Self {
+        Self::try_analyze(a, options).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`SparseLuSolver::analyze`], or [`SolverError::DimensionMismatch`]
+    /// for a non-square `a` and [`SolverError::StructurallySingular`] for
+    /// one without a zero-free diagonal.
+    pub fn try_analyze(a: &CscMatrix, options: FactorOptions) -> Result<Self, SolverError> {
+        if a.nrows() != a.ncols() {
+            return Err(SolverError::DimensionMismatch {
+                expected: a.ncols(),
+                got: a.nrows(),
+            });
+        }
         let (a_scaled, row_scale, col_scale) = scaled(a, options.equilibrate);
-        let (permuted, row_perm, col_perm) = splu_order::preprocess(&a_scaled, options.ordering);
+        let (permuted, row_perm, col_perm) =
+            splu_order::try_preprocess(&a_scaled, options.ordering).map_err(|matched| {
+                SolverError::StructurallySingular {
+                    matched,
+                    n: a.ncols(),
+                }
+            })?;
         let structure = static_symbolic_factorization(&permuted);
         let base = partition_supernodes(&structure, options.block_size);
         let part = amalgamate(&structure, &base, options.amalgamation, options.block_size);
         let pattern = Arc::new(BlockPattern::build(&structure, &part));
-        Self {
+        Ok(Self {
             permuted,
             row_scale,
             col_scale,
@@ -196,7 +217,7 @@ impl SparseLuSolver {
             pattern,
             options,
             fingerprint: a.pattern_fingerprint(),
-        }
+        })
     }
 
     /// Numeric factorization of the analyzed matrix: the one factor entry
@@ -216,12 +237,7 @@ impl SparseLuSolver {
     /// Once warm, the hot loop allocates nothing —
     /// [`FactorStats::scratch_grow_events`] is 0 for the repeat calls.
     pub fn factor_with(&self, scratch: &mut FactorScratch) -> Result<FactorizedLu, SolverError> {
-        self.factor_permuted(
-            &self.permuted,
-            (self.row_scale.clone(), self.col_scale.clone()),
-            None,
-            scratch,
-        )
+        self.factor_blocks(self.filled(), self.scales(), None, scratch)
     }
 
     /// Like [`SparseLuSolver::factor`], but recording a flight-recorder
@@ -233,12 +249,8 @@ impl SparseLuSolver {
         &self,
         collector: &splu_probe::Collector,
     ) -> Result<FactorizedLu, SolverError> {
-        self.factor_permuted(
-            &self.permuted,
-            (self.row_scale.clone(), self.col_scale.clone()),
-            Some(collector),
-            &mut FactorScratch::new(),
-        )
+        let scratch = &mut FactorScratch::new();
+        self.factor_blocks(self.filled(), self.scales(), Some(collector), scratch)
     }
 
     /// Numeric refactorization of a *different* matrix with the *same*
@@ -257,8 +269,11 @@ impl SparseLuSolver {
     /// factorize-many lifecycle with an allocation-free numeric phase:
     /// pass the same `scratch` on every call and, once warm, the
     /// elimination loop performs zero heap allocations
-    /// ([`FactorStats::scratch_grow_events`] = 0). On the parallel path
-    /// the warmed `scratch` also holds the engine's schedule and the
+    /// ([`FactorStats::scratch_grow_events`] = 0). The values of `a` go
+    /// straight into the block storage through a map from each of its
+    /// entries to its storage slot, which the first call builds and
+    /// `scratch` keeps; no permuted copy of `a` is made. On the parallel
+    /// path the warmed `scratch` also holds the engine's schedule and the
     /// per-rank arenas, so a repeat call rebuilds no schedule.
     pub fn refactor_with(
         &self,
@@ -272,17 +287,42 @@ impl SparseLuSolver {
                 got,
             });
         }
-        let (a_scaled, row_scale, col_scale) = scaled(a, self.options.equilibrate);
-        let permuted = a_scaled.permute(&self.row_perm, &self.col_perm);
-        self.factor_permuted(&permuted, (row_scale, col_scale), None, scratch)
+        let (values, scales) = if self.options.equilibrate {
+            let (r, c) = equilibration_scales(a);
+            (Cow::Owned(scaled_values(a, &r, &c)), (r, c))
+        } else {
+            (Cow::Borrowed(a.values()), (Vec::new(), Vec::new()))
+        };
+        let layout = self.pattern.layout();
+        let slots = scratch.slot_map(&self.pattern, || {
+            let mut slots = vec![Slot::default(); a.nnz()];
+            let pq = Some((&self.row_perm, &self.col_perm));
+            layout.place(a, pq, |_| true, |_| true, |e, s| slots[e] = s);
+            slots
+        });
+        let mut blocks = BlockMatrix::zeroed(self.pattern.clone(), layout, |_| (true, true));
+        blocks.scatter(slots, &values);
+        self.factor_blocks((blocks, a.nnz()), scales, None, scratch)
     }
 
-    /// The factorization of an already scaled and permuted matrix with
-    /// this analysis' pattern, on [`parallel_grid`]'s path; `scales` are
-    /// its (row, column) equilibration scales.
-    fn factor_permuted(
+    /// The block storage of the analyzed matrix, and its entry count.
+    fn filled(&self) -> (BlockMatrix, usize) {
+        let blocks = BlockMatrix::from_csc(&self.permuted, self.pattern.clone());
+        (blocks, self.permuted.nnz())
+    }
+
+    /// The analyzed matrix's (row, column) equilibration scales.
+    fn scales(&self) -> (Vec<f64>, Vec<f64>) {
+        (self.row_scale.clone(), self.col_scale.clone())
+    }
+
+    /// The factorization of `blocks`, the storage of a scaled and permuted
+    /// matrix of `nnz` entries with this analysis' pattern, on
+    /// [`parallel_grid`]'s path; `scales` are its (row, column)
+    /// equilibration scales.
+    fn factor_blocks(
         &self,
-        permuted: &CscMatrix,
+        (mut blocks, nnz): (BlockMatrix, usize),
         (row_scale, col_scale): (Vec<f64>, Vec<f64>),
         trace: Option<&splu_probe::Collector>,
         scratch: &mut FactorScratch,
@@ -294,11 +334,8 @@ impl SparseLuSolver {
                 probe.attach_thread();
                 probe.count(
                     "fill_entries",
-                    self.pattern
-                        .storage_entries()
-                        .saturating_sub(permuted.nnz()) as u64,
+                    self.pattern.storage_entries().saturating_sub(nnz) as u64,
                 );
-                let mut blocks = BlockMatrix::from_csc(permuted, self.pattern.clone());
                 let (pivots, stats) =
                     factor_sequential_with(&mut blocks, threshold, &probe, scratch)?;
                 (blocks, pivots, stats)
@@ -312,7 +349,8 @@ impl SparseLuSolver {
                     threshold,
                     ..Par2dOptions::default()
                 };
-                let r = factor_par2d_reusing(permuted, self.pattern.clone(), grid, &opts, scratch)?;
+                let input = Input::Filled(blocks, nnz);
+                let r = factor_par2d_reusing(input, self.pattern.clone(), grid, &opts, scratch)?;
                 (r.blocks, r.pivots, r.stats)
             }
         };
@@ -596,7 +634,18 @@ fn scaled(a: &CscMatrix, on: bool) -> (Cow<'_, CscMatrix>, Vec<f64>, Vec<f64>) {
 /// Scale `A → R A C` so every row and then every column has unit maximum
 /// magnitude. Returns the scaled matrix and the diagonal scale vectors.
 pub fn equilibrate(a: &CscMatrix) -> (CscMatrix, Vec<f64>, Vec<f64>) {
-    let n = a.ncols();
+    let (r, c) = equilibration_scales(a);
+    let values = scaled_values(a, &r, &c);
+    let (ptr, rows) = (a.col_ptr().to_vec(), a.row_indices().to_vec());
+    (
+        CscMatrix::from_parts(a.nrows(), a.ncols(), ptr, rows, values),
+        r,
+        c,
+    )
+}
+
+/// The row scales `R` and column scales `C` of [`equilibrate`].
+fn equilibration_scales(a: &CscMatrix) -> (Vec<f64>, Vec<f64>) {
     let mut rmax = vec![0.0f64; a.nrows()];
     for (i, _, v) in a.iter() {
         rmax[i] = rmax[i].max(v.abs());
@@ -605,7 +654,7 @@ pub fn equilibrate(a: &CscMatrix) -> (CscMatrix, Vec<f64>, Vec<f64>) {
         .iter()
         .map(|&m| if m > 0.0 { 1.0 / m } else { 1.0 })
         .collect();
-    let mut cmax = vec![0.0f64; n];
+    let mut cmax = vec![0.0f64; a.ncols()];
     for (i, j, v) in a.iter() {
         cmax[j] = cmax[j].max((v * r[i]).abs());
     }
@@ -613,11 +662,12 @@ pub fn equilibrate(a: &CscMatrix) -> (CscMatrix, Vec<f64>, Vec<f64>) {
         .iter()
         .map(|&m| if m > 0.0 { 1.0 / m } else { 1.0 })
         .collect();
-    let mut coo = splu_sparse::CooMatrix::with_capacity(a.nrows(), n, a.nnz());
-    for (i, j, v) in a.iter() {
-        coo.push(i, j, v * r[i] * c[j]);
-    }
-    (coo.to_csc(), r, c)
+    (r, c)
+}
+
+/// The values of `R A C`, in `a`'s entry order.
+fn scaled_values(a: &CscMatrix, r: &[f64], c: &[f64]) -> Vec<f64> {
+    a.iter().map(|(i, j, v)| v * r[i] * c[j]).collect()
 }
 
 /// Convenience: analyze + factor + solve in one call.

@@ -10,10 +10,12 @@
 //! steady-state factorization performs zero heap allocations per panel.
 //! (Scatter
 //! position maps are not scratch at all anymore: they are precomputed
-//! once in `splu_symbolic::BlockPattern` and read in place.) When the one
-//! factor entry point runs the 2D engine, the caller's arena also keeps
-//! the engine's plan — its schedules and one arena per rank — for the
-//! next factorization of the same pattern on the same grid.
+//! once in `splu_symbolic::BlockPattern` and read in place.) The caller's
+//! arena also keeps, for the last pattern it factored, what the next
+//! factorization of the same pattern reuses: the slot map through which a
+//! refactorization writes its values into the block storage and, when the
+//! one factor entry point ran the 2D engine, the engine's plan — its
+//! schedules and one arena per rank.
 //!
 //! The proof mechanism: [`FactorScratch::grow_events`] counts every
 //! capacity increase. Drivers report it through the `scratch_grow_events`
@@ -21,7 +23,10 @@
 //! a warmed-up refactorization must report a delta of zero (asserted by
 //! the `scratch_reuse` tests).
 
+use crate::par2d::Plan2d;
 use splu_kernels::SegmentPack;
+use splu_symbolic::{BlockPattern, Slot};
+use std::sync::Arc;
 
 /// Reusable buffers for the factorization loop (one per processor).
 ///
@@ -57,9 +62,21 @@ pub struct FactorScratch {
     /// (swapping it in and out of the matrix allocates nothing).
     pub(crate) dummy: crate::storage::ColBlock,
     pub(crate) grow_events: u64,
+    /// What this arena keeps for the last pattern it factored.
+    pub(crate) cache: Option<Box<PatternCache>>,
+}
+
+/// A caller arena's cache for one pattern, held by identity (`Arc`
+/// pointer), which the `Arc` held here keeps from being reused by another
+/// pattern while it is cached.
+pub(crate) struct PatternCache {
+    pattern: Arc<BlockPattern>,
+    /// The storage slot of each entry of the refactored matrix, in that
+    /// matrix's own entry order (`SparseLuSolver::refactor_with`).
+    slots: Option<Vec<Slot>>,
     /// The 2D engine's plan and per-rank arenas, when this arena last
     /// served a 2D factorization (see `par2d::factor_par2d_reusing`).
-    pub(crate) plan2d: Option<Box<crate::par2d::Plan2d>>,
+    pub(crate) plan2d: Option<Plan2d>,
 }
 
 impl FactorScratch {
@@ -88,6 +105,38 @@ impl FactorScratch {
         let u32s = self.idx.capacity();
         let packs: usize = self.stages.iter().map(|s| s.pack.peak_bytes()).sum();
         (f64s * 8 + u32s * 4 + self.lpack.peak_bytes() + packs) as u64
+    }
+
+    /// The cache of `pattern`, emptied first if it held another pattern.
+    pub(crate) fn pattern_cache(&mut self, pattern: &Arc<BlockPattern>) -> &mut PatternCache {
+        if !self
+            .cache
+            .as_ref()
+            .is_some_and(|c| Arc::ptr_eq(&c.pattern, pattern))
+        {
+            self.cache = Some(Box::new(PatternCache {
+                pattern: pattern.clone(),
+                slots: None,
+                plan2d: None,
+            }));
+        }
+        self.cache.as_mut().expect("set above")
+    }
+
+    /// `pattern`'s slot map, built by `build` on the first call for the
+    /// pattern; the build counts one grow event.
+    pub(crate) fn slot_map(
+        &mut self,
+        pattern: &Arc<BlockPattern>,
+        build: impl FnOnce() -> Vec<Slot>,
+    ) -> &[Slot] {
+        self.pattern_cache(pattern);
+        let c = self.cache.as_mut().expect("set above");
+        if c.slots.is_none() {
+            self.grow_events += 1;
+            c.slots = Some(build());
+        }
+        c.slots.as_deref().expect("built above")
     }
 
     /// Ensure `n` stage slots exist and mark them all empty (stage

@@ -11,6 +11,13 @@
 //! * one **masked U panel** per U block `(K, J)` above the diagonal:
 //!   `width(K)` rows × (present subcolumns), per Theorem 1.
 //!
+//! The panels are allocated from the pattern's layout
+//! ([`BlockPattern::layout`]), built once per pattern, whose index lists
+//! every factorization shares. Each input entry's place in them is found
+//! by walking its column's ascending rows against the layout; a
+//! refactorization of the same pattern keeps that place per entry (a slot
+//! map) and only writes the new values through it.
+//!
 //! Entries inside panels but outside the static pattern are *padding*:
 //! they start at exactly `0.0` and — a consequence of the static-structure
 //! closure property — remain exactly `0.0` through the whole factorization
@@ -19,19 +26,10 @@
 //! and the structure-safe row interchange ([`BlockMatrix::swap_rows`])
 //! asserts this invariant in debug builds.
 
-use splu_symbolic::{BlockPattern, UBlockKind};
+use splu_sparse::CscMatrix;
+pub use splu_symbolic::LSeg;
+use splu_symbolic::{BlockPattern, Slot, StorageLayout, UBlockKind};
 use std::sync::Arc;
-
-/// An L-panel segment: one L block's contiguous slice of the packed panel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LSeg {
-    /// Row-block index `I` (`> J`).
-    pub iblock: u32,
-    /// Start offset within the packed panel rows.
-    pub start: u32,
-    /// Number of subrows.
-    pub len: u32,
-}
 
 /// One stored U block `(k, j)`: `h × cols.len()` column-major panel.
 #[derive(Debug, Clone)]
@@ -64,7 +62,7 @@ pub struct ColBlock {
     /// Packed L panel, `lrows.len() × w`, column-major (ld = lrows.len()).
     pub lpanel: Vec<f64>,
     /// L block segments within the packed panel.
-    pub lsegs: Vec<LSeg>,
+    pub lsegs: Arc<Vec<LSeg>>,
     /// U blocks above the diagonal, sorted by `k`.
     pub ublocks: Vec<UBlockStore>,
 }
@@ -96,10 +94,14 @@ pub struct BlockMatrix {
 }
 
 impl BlockMatrix {
-    /// Allocate the block storage for `pattern` and scatter the entries of
-    /// `a` into it (everything else is zero padding).
-    pub fn from_csc(a: &splu_sparse::CscMatrix, pattern: Arc<BlockPattern>) -> Self {
-        Self::from_csc_blocks(a, pattern, |_| true, |_| true)
+    /// Allocate the block storage for `pattern` from its layout
+    /// ([`BlockPattern::layout`]) and scatter the entries of `a` into it
+    /// (everything else is zero padding).
+    pub fn from_csc(a: &CscMatrix, pattern: Arc<BlockPattern>) -> Self {
+        let layout = pattern.layout();
+        let mut m = Self::zeroed(pattern.clone(), layout, |_| (true, true));
+        m.fill(a, layout, |_| true, |_| true);
+        m
     }
 
     /// One rank's share of a 2D block-cyclic mapping: the column blocks
@@ -112,88 +114,98 @@ impl BlockMatrix {
     /// block rows reads with this layout. With both filters always true
     /// this is [`BlockMatrix::from_csc`].
     pub fn from_csc_blocks(
-        a: &splu_sparse::CscMatrix,
+        a: &CscMatrix,
         pattern: Arc<BlockPattern>,
         rows: impl Fn(usize) -> bool,
         owned: impl Fn(usize) -> bool,
     ) -> Self {
-        let n = a.ncols();
-        assert_eq!(pattern.part.n(), n);
-        let block_of = Arc::new(pattern.part.block_of_index());
-        let nb = pattern.nblocks();
+        let layout = StorageLayout::build(&pattern, &rows);
+        let mut m = Self::zeroed(pattern, &layout, |j| (owned(j) && rows(j), owned(j)));
+        m.fill(a, &layout, &rows, owned);
+        m
+    }
 
-        // Pre-assemble U block patterns per column block (they are stored
-        // by row block in BlockPattern).
-        // (owner row block k, column indices, kind) of each U block, by column
-        type USrc = (u32, Arc<Vec<u32>>, UBlockKind);
-        let mut u_by_col: Vec<Vec<USrc>> = vec![Vec::new(); nb];
-        for k in (0..nb).filter(|&k| rows(k)) {
-            for u in &pattern.u_blocks[k] {
-                u_by_col[u.j as usize].push((k as u32, Arc::new(u.cols.clone()), u.kind));
-            }
-        }
-
-        let mut cols: Vec<ColBlock> = Vec::with_capacity(nb);
-        for (j, usrc) in u_by_col.into_iter().enumerate() {
-            let w = pattern.part.width(j);
-            let (lrows, lsegs) = stacked_rows(&pattern, j, &rows);
-            let is_owned = owned(j);
-            let ublocks = usrc
-                .into_iter()
-                .map(|(k, cols, kind)| {
-                    let h = pattern.part.width(k as usize) as u32;
-                    UBlockStore {
-                        k,
-                        lo_k: pattern.part.start(k as usize) as u32,
-                        h,
-                        panel: if is_owned {
-                            vec![0.0; (h as usize) * cols.len()]
-                        } else {
-                            Vec::new()
-                        },
-                        cols,
-                        kind,
-                    }
-                })
-                .collect();
-            cols.push(ColBlock {
-                lo: pattern.part.start(j) as u32,
-                w: w as u32,
-                diag: if is_owned && rows(j) {
-                    vec![0.0; w * w]
-                } else {
-                    Vec::new()
-                },
-                lpanel: if is_owned {
-                    vec![0.0; lrows.len() * w]
-                } else {
-                    Vec::new()
-                },
-                lrows: Arc::new(lrows),
-                lsegs,
-                ublocks,
-            });
-        }
-
-        let mut m = Self {
+    /// Zeroed storage for `pattern` laid out as `layout`, with every
+    /// column's metadata and the panels `panels(j)` = (diagonal, `L` and
+    /// `U`) of column block `j`. One `Vec` per panel, allocated column by
+    /// column: the `U` panels, then the diagonal, then the `L` panel.
+    pub(crate) fn zeroed(
+        pattern: Arc<BlockPattern>,
+        layout: &StorageLayout,
+        panels: impl Fn(usize) -> (bool, bool),
+    ) -> Self {
+        let zeros = |keep: bool, len: usize| if keep { vec![0.0; len] } else { Vec::new() };
+        let cols = layout
+            .cols
+            .iter()
+            .enumerate()
+            .map(|(j, c)| {
+                let (diag, rest) = panels(j);
+                let ublocks = c
+                    .ublocks
+                    .iter()
+                    .map(|u| UBlockStore {
+                        k: u.k,
+                        lo_k: u.lo_k,
+                        h: u.h,
+                        cols: u.cols.clone(),
+                        kind: u.kind,
+                        panel: zeros(rest, u.h as usize * u.cols.len()),
+                    })
+                    .collect();
+                let w = c.w as usize;
+                ColBlock {
+                    ublocks,
+                    diag: zeros(diag, w * w),
+                    lpanel: zeros(rest, c.lrows.len() * w),
+                    lo: c.lo,
+                    w: c.w,
+                    lrows: c.lrows.clone(),
+                    lsegs: c.lsegs.clone(),
+                }
+            })
+            .collect();
+        Self {
+            n: pattern.part.n(),
             pattern,
             cols,
-            block_of,
-            n,
-        };
-        // scatter A (owned columns, kept rows only)
-        for jb in (0..nb).filter(|&jb| owned(jb)) {
-            let lo = m.pattern.part.start(jb);
-            for j in lo..lo + m.pattern.part.width(jb) {
-                let (ri, vals) = a.col(j);
-                for (&i, &v) in ri.iter().zip(vals) {
-                    if rows(m.block_of(i as usize)) {
-                        m.set_entry(i as usize, j, v);
-                    }
-                }
-            }
+            block_of: layout.block_of.clone(),
         }
-        m
+    }
+
+    /// Scatter the entries of `a` of the row blocks `rows(i)` into the
+    /// column blocks `owned(j)`, which hold their panels.
+    fn fill(
+        &mut self,
+        a: &CscMatrix,
+        layout: &StorageLayout,
+        rows: impl Fn(usize) -> bool,
+        owned: impl Fn(usize) -> bool,
+    ) {
+        assert_eq!(a.ncols(), self.n);
+        let (mut panels, values) = (self.panels_mut(), a.values());
+        layout.place(a, None, rows, owned, |e, s| {
+            panels[s.panel as usize][s.at as usize] = values[e];
+        });
+    }
+
+    /// Write `values[p]` to `slots[p]` for every `p`.
+    pub(crate) fn scatter(&mut self, slots: &[Slot], values: &[f64]) {
+        let mut panels = self.panels_mut();
+        for (s, &v) in slots.iter().zip(values) {
+            panels[s.panel as usize][s.at as usize] = v;
+        }
+    }
+
+    /// Every panel, numbered as in [`StorageLayout`].
+    fn panels_mut(&mut self) -> Vec<&mut [f64]> {
+        let mut panels = Vec::with_capacity(self.cols.iter().map(|c| 2 + c.ublocks.len()).sum());
+        for cb in &mut self.cols {
+            panels.push(&mut cb.diag[..]);
+            panels.push(&mut cb.lpanel[..]);
+            panels.extend(cb.ublocks.iter_mut().map(|u| &mut u.panel[..]));
+        }
+        panels
     }
 
     /// Reassemble a 2D-distributed factorization from the ranks'
@@ -219,14 +231,17 @@ impl BlockMatrix {
                     .map(|r| std::mem::take(&mut shares[share_of(r, j)].cols[j]))
                     .collect();
                 let w = parts[0].w as usize;
-                let (lrows, lsegs) = stacked_rows(&pattern, j, &|_| true);
+                let (lrows, lsegs) = {
+                    let c = &pattern.layout().cols[j];
+                    (&c.lrows, &c.lsegs)
+                };
                 // walk each column of the panel through the segments in
                 // row order, taking each from the share that holds it
                 let mut lpanel = Vec::with_capacity(lrows.len() * w);
                 let mut next = vec![0usize; pr];
                 for c in 0..w {
                     next.fill(0);
-                    for seg in &lsegs {
+                    for seg in lsegs.iter() {
                         let r = seg.iblock as usize % pr;
                         let part = &parts[r];
                         let s = &part.lsegs[next[r]];
@@ -245,9 +260,9 @@ impl BlockMatrix {
                     lo: parts[0].lo,
                     w: w as u32,
                     diag: std::mem::take(&mut parts[j % pr].diag),
-                    lrows: Arc::new(lrows),
+                    lrows: lrows.clone(),
                     lpanel,
-                    lsegs,
+                    lsegs: lsegs.clone(),
                     ublocks,
                 }
             })
@@ -282,37 +297,6 @@ impl BlockMatrix {
                     Err(_) => RowLoc::Absent,
                 }
             }
-        }
-    }
-
-    /// Write one entry (used when scattering the input matrix).
-    ///
-    /// # Panics
-    /// Panics if `(i, j)` has no storage (outside the static pattern).
-    pub fn set_entry(&mut self, i: usize, j: usize, v: f64) {
-        let jb = self.block_of(j);
-        let loc = self.row_loc(jb, i);
-        let cb = &mut self.cols[jb];
-        let lc = j - cb.lo as usize;
-        match loc {
-            RowLoc::Diag(r) => {
-                let ld = cb.w as usize;
-                cb.diag[r as usize + lc * ld] = v;
-            }
-            RowLoc::L(r) => {
-                let ld = cb.lrows.len();
-                cb.lpanel[r as usize + lc * ld] = v;
-            }
-            RowLoc::U(b, r) => {
-                let ub = &mut cb.ublocks[b as usize];
-                let cpos = ub
-                    .cols
-                    .binary_search(&(j as u32))
-                    .unwrap_or_else(|_| panic!("entry ({i},{j}) outside U mask"));
-                let ld = ub.h as usize;
-                ub.panel[r as usize + cpos * ld] = v;
-            }
-            RowLoc::Absent => panic!("entry ({i},{j}) outside the static block pattern"),
         }
     }
 
@@ -410,26 +394,6 @@ impl BlockMatrix {
             ),
         }
     }
-}
-
-/// The rows of column block `j`'s `L` segments in the row blocks `rows(i)`,
-/// stacked in ascending order, and the segments' places in that stack.
-fn stacked_rows(
-    pattern: &BlockPattern,
-    j: usize,
-    rows: &dyn Fn(usize) -> bool,
-) -> (Vec<u32>, Vec<LSeg>) {
-    let mut lrows: Vec<u32> = Vec::new();
-    let mut lsegs: Vec<LSeg> = Vec::new();
-    for lb in pattern.l_blocks[j].iter().filter(|l| rows(l.i as usize)) {
-        lsegs.push(LSeg {
-            iblock: lb.i,
-            start: lrows.len() as u32,
-            len: lb.rows.len() as u32,
-        });
-        lrows.extend_from_slice(&lb.rows);
-    }
-    (lrows, lsegs)
 }
 
 /// Full-width row view: (base pointer offset, leading dimension) for
@@ -650,7 +614,7 @@ mod tests {
         let m = build(&a, 4, 10);
         for cb in &m.cols {
             let mut expect = 0u32;
-            for seg in &cb.lsegs {
+            for seg in cb.lsegs.iter() {
                 assert_eq!(seg.start, expect);
                 expect += seg.len;
                 // all rows of the segment belong to seg.iblock

@@ -59,16 +59,37 @@ pub fn column_ordering(a: &CscMatrix, strategy: ColumnOrdering) -> Perm {
 ///
 /// Returns `(permuted_matrix, row_perm, col_perm)` with
 /// `B[row_perm.new_of_old(i), col_perm.new_of_old(j)] = A[i, j]`.
+///
+/// # Panics
+/// Panics if `a` is not square or is structurally singular
+/// ([`try_preprocess`] returns the latter as an error).
 pub fn preprocess(a: &CscMatrix, strategy: ColumnOrdering) -> (CscMatrix, Perm, Perm) {
+    try_preprocess(a, strategy).unwrap_or_else(|matched| {
+        panic!(
+            "matrix is structurally singular: a maximum transversal matches {matched} of {} columns",
+            a.ncols()
+        )
+    })
+}
+
+/// [`preprocess`], or, when `a` is structurally singular (no zero-free
+/// diagonal exists), `Err` with the size of a maximum transversal.
+///
+/// # Panics
+/// Panics if `a` is not square.
+pub fn try_preprocess(
+    a: &CscMatrix,
+    strategy: ColumnOrdering,
+) -> Result<(CscMatrix, Perm, Perm), usize> {
     assert_eq!(a.nrows(), a.ncols(), "preprocess needs a square matrix");
-    let rp = zero_free_row_perm(a).expect("matrix is structurally singular");
+    let rp = zero_free_row_perm(a).ok_or_else(|| max_transversal(a).size)?;
     let a1 = a.permute_rows(&rp);
     debug_assert!(a1.has_zero_free_diagonal());
     let q = column_ordering(&a1, strategy);
     // Apply Q to both sides so the zero-free diagonal survives.
     let b = a1.permute(&q, &q);
     debug_assert!(b.has_zero_free_diagonal());
-    (b, rp.then(&q), q)
+    Ok((b, rp.then(&q), q))
 }
 
 #[cfg(test)]

@@ -741,7 +741,9 @@ fn worker_core_budget(cores: usize, workers: usize) -> usize {
 /// The cache counters count the work done: a refactor against a cached
 /// analysis or a cold analysis is counted when it starts, so a
 /// numerically singular matrix still counts one refactor (or one miss)
-/// and inserts no factor.
+/// and inserts no factor, and a structurally singular one counts one miss
+/// and fails with [`SolverError::StructurallySingular`]. Every path
+/// publishes the flight.
 fn run_flight(
     inner: &ServiceInner,
     a: &CscMatrix,
@@ -769,12 +771,19 @@ fn run_flight(
             }
             Err(an)
         });
-        let (analysis, reuse) = match found {
+        // a cold start factors the analysis' own permuted copy of `a`
+        let (analysis, f, reuse) = match found {
             Ok(f) => return Ok((f, Reuse::Full)),
-            Err(Some(an)) => (an, Reuse::Analysis),
-            Err(None) => (Analysis::of(a, inner.options), Reuse::None),
+            Err(Some(an)) => {
+                let f = an.factorize(a)?;
+                (an, f, Reuse::Analysis)
+            }
+            Err(None) => {
+                let an = Analysis::try_of(a, inner.options)?;
+                let f = an.factorize_analyzed_as(vfp)?;
+                (an, f, Reuse::None)
+            }
         };
-        let f = analysis.factorize(a)?;
         inner
             .cache
             .with_shard(pfp, |c| c.insert_factor(&analysis, f.clone()));

@@ -75,12 +75,20 @@ impl Analysis {
     ///
     /// # Panics
     /// Panics if `a` is not square or is *structurally* singular (no
-    /// zero-free diagonal exists). Numeric singularity, by contrast, is
-    /// reported as a typed [`SolverError`] at factorization time.
+    /// zero-free diagonal exists); [`Analysis::try_of`] returns either as
+    /// a [`SolverError`]. Numeric singularity is reported as a typed
+    /// [`SolverError`] at factorization time.
     pub fn of(a: &CscMatrix, options: FactorOptions) -> Self {
-        let solver = Arc::new(SparseLuSolver::analyze(a, options));
+        Self::try_of(a, options).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Analysis::of`], with a non-square or structurally singular `a`
+    /// as an error: [`SolverError::DimensionMismatch`] or
+    /// [`SolverError::StructurallySingular`].
+    pub fn try_of(a: &CscMatrix, options: FactorOptions) -> Result<Self, SolverError> {
+        let solver = Arc::new(SparseLuSolver::try_analyze(a, options)?);
         let bytes = approx_analysis_bytes(&solver);
-        Self { solver, bytes }
+        Ok(Self { solver, bytes })
     }
 
     /// Pattern fingerprint of the analyzed matrix: any matrix with this
@@ -108,11 +116,22 @@ impl Analysis {
 
     /// Numeric factorization of the originally analyzed matrix.
     pub fn factorize_analyzed(&self) -> Result<Factorization, SolverError> {
+        self.factorize_analyzed_as(self.solver.permuted.value_fingerprint())
+    }
+
+    /// [`Analysis::factorize_analyzed`], tagged with `value_fingerprint`,
+    /// the fingerprint of the matrix this analysis was built from: the
+    /// same factors as [`Analysis::factorize`] of that matrix, without
+    /// permuting it again.
+    pub(crate) fn factorize_analyzed_as(
+        &self,
+        value_fingerprint: u64,
+    ) -> Result<Factorization, SolverError> {
         let lu = self.solver.factor()?;
         Ok(Factorization::new(
             lu,
             self.fingerprint(),
-            self.solver.permuted.value_fingerprint(),
+            value_fingerprint,
         ))
     }
 

@@ -16,6 +16,7 @@
 //! block presence to build the task graph (`Update(k, j)` exists iff
 //! `U_kj ≠ 0`).
 
+use crate::layout::StorageLayout;
 use crate::supernode::SupernodePartition;
 use crate::symfact::StaticStructure;
 use splu_kernels::{gemm_uses_blocked_path, packed_a_len};
@@ -65,6 +66,8 @@ pub struct BlockPattern {
     /// Precomputed scatter maps for every `Update(k, j)` destination pair
     /// (see [`BlockPattern::scatter_map`]).
     maps: ScatterMaps,
+    /// The storage layout, built on first use ([`BlockPattern::layout`]).
+    layout: std::sync::OnceLock<StorageLayout>,
 }
 
 /// Flat storage of the precomputed `Update` scatter maps.
@@ -292,7 +295,16 @@ impl BlockPattern {
             l_blocks,
             u_blocks,
             maps: ScatterMaps::default(),
+            layout: Default::default(),
         }
+    }
+
+    /// The storage layout of every row block, built on the first call
+    /// (by the first factorization, not by the analysis) and shared by
+    /// every later one.
+    pub fn layout(&self) -> &StorageLayout {
+        self.layout
+            .get_or_init(|| StorageLayout::build(self, |_| true))
     }
 
     /// Number of blocks per side.

@@ -26,10 +26,12 @@
 //!
 //! [`blocks`] materializes the resulting 2D block pattern (presence +
 //! dense subrow/subcolumn masks per block) consumed by the numerical and
-//! scheduling crates.
+//! scheduling crates, and [`layout`] the dense panels a numeric
+//! factorization stores it in.
 
 pub mod blocks;
 pub mod etree;
+pub mod layout;
 pub mod supernode;
 pub mod symfact;
 
@@ -37,5 +39,6 @@ pub use blocks::{
     factor_task_flops, update_task_flops, BlockPattern, UBlockKind, UpdateShapes, WidthCensus,
 };
 pub use etree::{block_etree, subtree_costs};
+pub use layout::{ColumnLayout, LSeg, Slot, StorageLayout, ULayout};
 pub use supernode::{amalgamate, partition_supernodes, SupernodePartition};
 pub use symfact::{static_symbolic_factorization, StaticStructure};

@@ -5,7 +5,7 @@
 
 use sstar::prelude::*;
 use sstar::solver::{
-    run_batch, CacheConfig, ConcurrentConfig, Reuse, SolveJob, WorkerPool, Workload,
+    run_batch, CacheConfig, ConcurrentConfig, JobStatus, Reuse, SolveJob, WorkerPool, Workload,
 };
 use sstar::sparse::gen::{self, ValueModel};
 use std::sync::Arc;
@@ -26,6 +26,60 @@ fn max_err(a: &[f64], b: &[f64]) -> f64 {
     a.iter()
         .zip(b)
         .fold(0.0f64, |m, (p, q)| m.max((p - q).abs()))
+}
+
+/// A structurally singular matrix (an empty column) fails each way of
+/// asking for it — a blocking factorization, a solve, a refactor-ahead —
+/// with a typed error instead of leaving its flight unpublished, and the
+/// service goes on serving. A watchdog turns a hang into a failure.
+#[test]
+fn structurally_singular_input_fails_typed_and_the_service_goes_on() {
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    let (done, finished) = channel();
+    let body = std::thread::spawn(move || {
+        let bad = Arc::new(CscMatrix::from_parts(
+            3,
+            3,
+            vec![0, 2, 2, 4],
+            vec![0, 1, 1, 2],
+            vec![1.0, 2.0, 3.0, 4.0],
+        ));
+        let good = Arc::new(gen::grid2d(6, 6, 0.4, ValueModel::default()));
+        let n = good.ncols();
+        let error = SolverError::StructurallySingular { matched: 2, n: 3 };
+        let singular = Err(error);
+        let svc = one_shard(64 << 20);
+        assert_eq!(svc.factorization_blocking(&bad).map(|_| ()), singular);
+        assert!(svc.factorization_blocking(&good).is_ok());
+        svc.submit_solve(1, &bad, vec![1.0; 3], 1, None, false);
+        svc.submit_solve(2, &good, vec![1.0; n], 1, None, false);
+        // a refactor-ahead fails alone; asking again re-runs (or joins) it
+        svc.prefetch(&bad);
+        assert_eq!(svc.factorization_blocking(&bad).map(|_| ()), singular);
+        svc.submit_solve(3, &good, vec![1.0; n], 1, None, false);
+        let report = svc.finish();
+        let status: Vec<(usize, JobStatus)> = report
+            .reports
+            .iter()
+            .map(|r| (r.id, r.status.clone()))
+            .collect();
+        assert_eq!(
+            status,
+            [
+                (1, JobStatus::Failed(error)),
+                (2, JobStatus::Solved),
+                (3, JobStatus::Solved)
+            ]
+        );
+        done.send(()).unwrap();
+    });
+    match finished.recv_timeout(std::time::Duration::from_secs(120)) {
+        Ok(()) => body.join().unwrap(),
+        Err(RecvTimeoutError::Disconnected) => std::panic::resume_unwind(body.join().unwrap_err()),
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("the service hung on a structurally singular matrix")
+        }
+    }
 }
 
 #[test]

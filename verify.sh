@@ -13,12 +13,13 @@ cargo test -q --workspace --no-default-features
 
 # the bitwise-identity suites (every grid × sync mode × lookahead
 # window, supernodes wider than the 48-row TRSM tile, plus adversarial
-# delivery jitter) and the 2D op lists pinned by hash, in both feature
+# delivery jitter), the 2D op lists pinned by hash and the layout-filled
+# block storage against the entry-by-entry reference, in both feature
 # configs
 cargo test -q -p splu-core --test stacked_update --test delivery_jitter \
-    --test schedule_identity
+    --test schedule_identity --test storage_identity
 cargo test -q -p splu-core --test stacked_update --test delivery_jitter \
-    --test schedule_identity --no-default-features
+    --test schedule_identity --test storage_identity --no-default-features
 
 # the analysis identity: permutations, supernode starts, partition, block
 # masks, scatter maps and predicted counts pinned by hash, in both configs
